@@ -8,7 +8,7 @@
 //! `BENCH_corpus.json`, whose `corpus` member `corpus_gate` maintains.
 
 use dbpal_core::{
-    DedupPolicy, DigestSink, GenerationConfig, StreamDedup, StreamOptions, TrainingPipeline,
+    DedupPolicy, GenerationConfig, JsonlSink, StreamDedup, StreamOptions, TrainingPipeline,
 };
 use dbpal_schema::{Schema, SchemaBuilder, SemanticDomain, SqlType};
 use dbpal_util::bench::{black_box, BenchOpts, Config, Harness};
@@ -42,12 +42,11 @@ fn main() {
     let small = GenerationConfig::small();
 
     // Two-round streaming pass at 1 vs 4 workers: exercises the round
-    // loop, the dedup index, and the digest sink end to end. The
+    // loop, the dedup index, and a digesting JSONL sink end to end. The
     // emitted bytes are identical (the determinism contract); only
     // wall clock differs.
     let stream_opts = StreamOptions {
         max_rounds: 2,
-        rounds_per_chunk: 1,
         ..StreamOptions::corpus(0)
     };
     let scaling = BenchOpts {
@@ -65,7 +64,7 @@ fn main() {
             &format!("corpus/stream_2rounds_threads{threads}"),
             scaling,
             move || {
-                let mut sink = DigestSink::new();
+                let mut sink = JsonlSink::new(std::io::sink());
                 let report = TrainingPipeline::new(cfg.clone())
                     .stream(&[schema_ref], &opts, &mut sink)
                     .expect("digest sink cannot fail");

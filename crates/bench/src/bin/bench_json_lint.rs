@@ -21,8 +21,8 @@
 //! non-empty array here means a stale or hand-edited report), and the
 //! allowlist entry count.
 //! The `corpus` report requires the `corpus` member written by
-//! `corpus_gate`: streaming-run totals (pairs, rounds, chunks,
-//! throughput, dedup rate, JSONL digest, memory observations) with
+//! `corpus_gate`: streaming-run totals (pairs, rounds, throughput,
+//! dedup rate, JSONL digest, memory observations) with
 //! zero analyzer rejects — a committed corpus report that rejected
 //! pairs means the gate should have failed.
 //!
@@ -172,7 +172,6 @@ fn check_corpus(corpus: &Json) -> Result<(), String> {
         "pairs",
         "target_pairs",
         "rounds",
-        "chunks",
         "schemas",
         "threads",
         "pairs_per_sec",

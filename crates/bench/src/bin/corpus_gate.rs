@@ -8,11 +8,9 @@
 //!    `DBPAL_CORPUS_MEM_MB`;
 //! 2. **thread invariance** — the JSONL digest at 8 worker threads is
 //!    byte-identical to the 1-thread file;
-//! 3. **chunk invariance** — changing `rounds_per_chunk` never changes
-//!    the digest;
-//! 4. **round-trip** — the written JSONL re-parses into exactly the
+//! 3. **round-trip** — the written JSONL re-parses into exactly the
 //!    emitted pairs;
-//! 5. **split sanity** — the provenance-weighted train/test split
+//! 4. **split sanity** — the provenance-weighted train/test split
 //!    routes every pair exactly once, deterministically.
 //!
 //! Pass `--quick` for the CI-sized run (10k pairs over the small
@@ -21,12 +19,12 @@
 //! the bench report (`BENCH_corpus.json` or `DBPAL_BENCH_JSON`) as the
 //! `corpus` member, which `bench_json_lint` requires for this group.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use dbpal_benchsuite::SchemaGenerator;
 use dbpal_core::{
-    corpus_from_jsonl, DigestSink, GenerationConfig, JsonlSink, SplitSink, StreamOptions,
-    StreamReport, TrainingPipeline,
+    corpus_from_jsonl, GenerationConfig, JsonlSink, SplitSink, StreamOptions, StreamReport,
+    TrainingPipeline,
 };
 use dbpal_schema::{Schema, SchemaBuilder, SemanticDomain, SqlType};
 use dbpal_util::Json;
@@ -107,33 +105,12 @@ fn run(
     }
 }
 
-/// Insert (or replace) the `corpus` member of the bench report at
-/// `path`, preserving the harness-written `group` and `benchmarks`
-/// members — the same contract as the `load`/`tenants`/`lints` merges.
-fn merge_corpus_section(path: &Path, rows: Vec<(String, Json)>) -> std::io::Result<()> {
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .unwrap_or(Json::Null);
-    let mut members: Vec<(String, Json)> = match &mut doc {
-        Json::Obj(members) => std::mem::take(members),
-        _ => vec![
-            ("group".into(), Json::str("corpus")),
-            ("benchmarks".into(), Json::Arr(vec![])),
-        ],
-    };
-    members.retain(|(k, _)| k != "corpus");
-    members.push(("corpus".into(), Json::Obj(rows)));
-    std::fs::write(path, Json::Obj(members).pretty() + "\n")
-}
-
-/// The `corpus` member rows for the bench report.
-fn corpus_rows(report: &StreamReport, digest: u64, pairs_per_sec: f64) -> Vec<(String, Json)> {
+/// The `corpus` member of the bench report.
+fn corpus_json(report: &StreamReport, digest: u64, pairs_per_sec: f64) -> Json {
     let mut rows = vec![
         ("pairs".into(), Json::Num(report.emitted as f64)),
         ("target_pairs".into(), Json::Num(report.target_pairs as f64)),
         ("rounds".into(), Json::Num(report.rounds.len() as f64)),
-        ("chunks".into(), Json::Num(report.chunks.len() as f64)),
         ("schemas".into(), Json::Num(report.schemas as f64)),
         ("threads".into(), Json::Num(report.threads as f64)),
         ("pairs_per_sec".into(), Json::Num(pairs_per_sec)),
@@ -160,7 +137,7 @@ fn corpus_rows(report: &StreamReport, digest: u64, pairs_per_sec: f64) -> Vec<(S
     if let Some(rss) = report.peak_resident_bytes {
         rows.push(("peak_resident_bytes".into(), Json::Num(rss as f64)));
     }
-    rows
+    Json::Obj(rows)
 }
 
 fn main() {
@@ -197,7 +174,7 @@ fn main() {
     );
     let mut failed = false;
 
-    // Run 1: single-threaded, chunked per round, writing the real file.
+    // Run 1: single-threaded, writing the real file.
     let jsonl_path = std::env::temp_dir().join(format!("dbpal_corpus_{GATE_SEED:x}.jsonl"));
     let file = match std::fs::File::create(&jsonl_path) {
         Ok(f) => f,
@@ -209,16 +186,13 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let opts_one = StreamOptions {
-        rounds_per_chunk: 1,
-        ..StreamOptions::corpus(target)
-    };
+    let opts = StreamOptions::corpus(target);
     let config_one = GenerationConfig {
         threads: 1,
         ..config.clone()
     };
     let mut file_sink = JsonlSink::new(std::io::BufWriter::new(file));
-    let report = run(&config_one, &schema_refs, &opts_one, &mut file_sink);
+    let report = run(&config_one, &schema_refs, &opts, &mut file_sink);
     let digest = file_sink.digest();
     let file_pairs = file_sink.pairs();
     drop(file_sink);
@@ -230,7 +204,7 @@ fn main() {
         report
             .check_consistency()
             .err()
-            .unwrap_or_else(|| "all chunk/round/run invariants hold".into()),
+            .unwrap_or_else(|| "all round/run invariants hold".into()),
         &mut failed,
     );
     check(
@@ -263,13 +237,14 @@ fn main() {
         &mut failed,
     );
 
-    // Run 2: 8 worker threads, same chunking — digest must not move.
+    // Run 2: 8 worker threads, digesting without writing — the digest
+    // must not move.
     let config_eight = GenerationConfig {
         threads: 8,
         ..config.clone()
     };
-    let mut eight = DigestSink::new();
-    let report_eight = run(&config_eight, &schema_refs, &opts_one, &mut eight);
+    let mut eight = JsonlSink::new(std::io::sink());
+    let report_eight = run(&config_eight, &schema_refs, &opts, &mut eight);
     check(
         "thread_invariance",
         eight.digest() == digest && report_eight.emitted == report.emitted,
@@ -278,25 +253,6 @@ fn main() {
             eight.digest(),
             report_eight.emitted,
             report.emitted
-        ),
-        &mut failed,
-    );
-
-    // Run 3: same 8 threads, 4 rounds per chunk — digest must not move.
-    let opts_chunked = StreamOptions {
-        rounds_per_chunk: 4,
-        ..StreamOptions::corpus(target)
-    };
-    let mut chunked = DigestSink::new();
-    let report_chunked = run(&config_eight, &schema_refs, &opts_chunked, &mut chunked);
-    check(
-        "chunk_invariance",
-        chunked.digest() == digest && report_chunked.emitted == report.emitted,
-        format!(
-            "rounds_per_chunk 4 digest {:#018x} vs 1 {digest:#018x} ({} chunks vs {})",
-            chunked.digest(),
-            report_chunked.chunks.len(),
-            report.chunks.len()
         ),
         &mut failed,
     );
@@ -326,8 +282,8 @@ fn main() {
     if let Ok(corpus) = reread {
         let mut counts = [0usize; 2];
         for (pass, count) in counts.iter_mut().enumerate() {
-            let mut train = DigestSink::new();
-            let mut test = DigestSink::new();
+            let mut train = JsonlSink::new(std::io::sink());
+            let mut test = JsonlSink::new(std::io::sink());
             let mut split = SplitSink::new(&mut train, &mut test, 0.1);
             for pair in corpus.pairs() {
                 if dbpal_core::CorpusSink::accept(&mut split, pair.clone()).is_err() {
@@ -378,7 +334,8 @@ fn main() {
     let path = PathBuf::from(
         std::env::var("DBPAL_BENCH_JSON").unwrap_or_else(|_| "BENCH_corpus.json".into()),
     );
-    match merge_corpus_section(&path, corpus_rows(&report, digest, pairs_per_sec)) {
+    let corpus = corpus_json(&report, digest, pairs_per_sec);
+    match dbpal_bench::merge_report_member(&path, "corpus", "corpus", corpus) {
         Ok(()) => println!(
             "[corpus_gate] merged `corpus` section into {}",
             path.display()

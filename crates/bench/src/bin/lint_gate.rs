@@ -17,7 +17,6 @@
 use std::path::Path;
 
 use dbpal_lint::{allowlist, lint_workspace, report};
-use dbpal_util::Json;
 
 fn check(label: &str, ok: bool, detail: String, failed: &mut bool) {
     if ok {
@@ -101,13 +100,8 @@ fn main() {
     );
 
     let lints = report::lints_json(run8.files_scanned, &applied8, &entries);
-    let doc = Json::Obj(vec![
-        ("group".into(), Json::str("lint")),
-        ("benchmarks".into(), Json::Arr(Vec::new())),
-        ("lints".into(), lints),
-    ]);
     let out_path = std::env::var("DBPAL_BENCH_JSON").unwrap_or_else(|_| "BENCH_lint.json".into());
-    if let Err(e) = std::fs::write(&out_path, doc.pretty() + "\n") {
+    if let Err(e) = dbpal_bench::merge_report_member(Path::new(&out_path), "lint", "lints", lints) {
         check(
             "report",
             false,

@@ -110,7 +110,7 @@ fn main() {
     let path = PathBuf::from(
         std::env::var("DBPAL_BENCH_JSON").unwrap_or_else(|_| "BENCH_serve.json".into()),
     );
-    match dbpal_bench::loadgen::merge_load_section(&path, &second) {
+    match dbpal_bench::merge_report_member(&path, "serve", "load", second.to_json()) {
         Ok(()) => println!("[load_gate] merged `load` section into {}", path.display()),
         Err(e) => {
             eprintln!("[load_gate] FAIL: could not write {}: {e}", path.display());

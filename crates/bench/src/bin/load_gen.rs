@@ -89,7 +89,7 @@ fn main() {
                 std::env::var("DBPAL_BENCH_JSON").unwrap_or_else(|_| "BENCH_serve.json".into()),
             )
         });
-        match dbpal_bench::loadgen::merge_load_section(&path, &report) {
+        match dbpal_bench::merge_report_member(&path, "serve", "load", report.to_json()) {
             Ok(()) => println!("[load_gen] merged `load` section into {}", path.display()),
             Err(e) => {
                 eprintln!("[load_gen] could not write {}: {e}", path.display());

@@ -15,7 +15,7 @@
 //! report as a `tenants` member, which `bench_json_lint` requires for
 //! this group.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use dbpal_runtime::Nlidb;
 use dbpal_serve::testing::{
@@ -60,7 +60,7 @@ fn run(workers: usize, items: &[(String, String)]) -> QueryService<ScriptedModel
 }
 
 /// Per-tenant traffic tallies from a finished run, in registration
-/// order — the `tenants` member of the bench report.
+/// order — the rows of the bench report's `tenants` member.
 fn tenant_stats(svc: &QueryService<ScriptedModel>) -> Vec<(String, [u64; 4])> {
     TENANTS
         .iter()
@@ -78,22 +78,8 @@ fn tenant_stats(svc: &QueryService<ScriptedModel>) -> Vec<(String, [u64; 4])> {
         .collect()
 }
 
-/// Insert (or replace) the `tenants` member of the bench report at
-/// `path`, preserving the harness-written `group` and `benchmarks`
-/// members — the same contract as the load harness's `load` merge.
-fn merge_tenants_section(path: &Path, stats: &[(String, [u64; 4])]) -> std::io::Result<()> {
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .unwrap_or(Json::Null);
-    let mut members: Vec<(String, Json)> = match &mut doc {
-        Json::Obj(members) => std::mem::take(members),
-        _ => vec![
-            ("group".into(), Json::str("tenant")),
-            ("benchmarks".into(), Json::Arr(vec![])),
-        ],
-    };
-    members.retain(|(k, _)| k != "tenants");
+/// The `tenants` member of the bench report: one row per tenant.
+fn tenants_json(stats: &[(String, [u64; 4])]) -> Json {
     let rows = stats
         .iter()
         .map(|(tenant, [queries, hits, misses, sheds])| {
@@ -106,8 +92,7 @@ fn merge_tenants_section(path: &Path, stats: &[(String, [u64; 4])]) -> std::io::
             ])
         })
         .collect();
-    members.push(("tenants".into(), Json::Arr(rows)));
-    std::fs::write(path, Json::Obj(members).pretty() + "\n")
+    Json::Arr(rows)
 }
 
 fn main() {
@@ -236,7 +221,7 @@ fn main() {
     let path = PathBuf::from(
         std::env::var("DBPAL_BENCH_JSON").unwrap_or_else(|_| "BENCH_tenant.json".into()),
     );
-    match merge_tenants_section(&path, &stats) {
+    match dbpal_bench::merge_report_member(&path, "tenant", "tenants", tenants_json(&stats)) {
         Ok(()) => println!(
             "[tenant_gate] merged `tenants` section into {}",
             path.display()

@@ -19,7 +19,6 @@
 
 use std::io;
 use std::net::SocketAddr;
-use std::path::Path;
 use std::sync::Barrier;
 use std::time::Instant;
 
@@ -407,28 +406,6 @@ pub fn run_against_fixture(cfg: &LoadConfig) -> io::Result<LoadReport> {
     Ok(report)
 }
 
-// ----- BENCH_serve.json merge -------------------------------------------
-
-/// Insert (or replace) the `load` member of the bench report at `path`,
-/// preserving the harness-written `group` and `benchmarks` members. A
-/// missing or unparseable file becomes a minimal `serve` report.
-pub fn merge_load_section(path: &Path, report: &LoadReport) -> io::Result<()> {
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .unwrap_or(Json::Null);
-    let mut members: Vec<(String, Json)> = match &mut doc {
-        Json::Obj(members) => std::mem::take(members),
-        _ => vec![
-            ("group".into(), Json::str("serve")),
-            ("benchmarks".into(), Json::Arr(vec![])),
-        ],
-    };
-    members.retain(|(k, _)| k != "load");
-    members.push(("load".into(), report.to_json()));
-    std::fs::write(path, Json::Obj(members).pretty() + "\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,47 +434,5 @@ mod tests {
         let mix = request_mix();
         assert_eq!(mix.len(), 11);
         assert!(mix.iter().all(|m| !m.expected_rows.is_empty()));
-    }
-
-    #[test]
-    fn merge_preserves_benchmarks_and_replaces_load() {
-        let dir = std::env::temp_dir().join("dbpal-loadgen-merge-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_serve.json");
-        std::fs::write(
-            &path,
-            r#"{"group":"serve","benchmarks":[{"name":"x","median_ns":1,"min_ns":1,"max_ns":1,"iters_per_sample":1,"samples":1}]}"#,
-        )
-        .unwrap();
-        let report = LoadReport {
-            clients: 4,
-            batch: 4,
-            warmup_requests: 32,
-            measured_requests: 160,
-            queries: 640,
-            qps: 1234.5,
-            p50_ns: 10,
-            p95_ns: 20,
-            p99_ns: 30,
-            protocol_errors: 0,
-            answer_mismatches: 0,
-            sheds: 0,
-            digest: "deadbeefdeadbeef".into(),
-        };
-        merge_load_section(&path, &report).unwrap();
-        merge_load_section(&path, &report).unwrap(); // idempotent replace
-        let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(doc.get("group").and_then(Json::as_str), Some("serve"));
-        assert_eq!(
-            doc.get("benchmarks").and_then(Json::as_arr).unwrap().len(),
-            1
-        );
-        let load = doc.get("load").expect("load member");
-        assert_eq!(load.get("queries").and_then(Json::as_i64), Some(640));
-        assert_eq!(
-            load.get("digest").and_then(Json::as_str),
-            Some("deadbeefdeadbeef")
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -65,8 +65,7 @@ pub use pipeline::{
     SCORE_ERROR_WEIGHT,
 };
 pub use stream::{
-    provenance_split_weight, AdmitOutcome, ChunkReport, CorpusSink, DedupPolicy, DigestSink,
-    JsonlSink, MemorySink, SinkError, SplitSink, StreamDedup, StreamError, StreamOptions,
-    StreamReport,
+    provenance_split_weight, AdmitOutcome, CorpusSink, DedupPolicy, JsonlSink, MemorySink,
+    SinkError, SplitSink, StreamDedup, StreamError, StreamOptions, StreamReport,
 };
 pub use templates::{catalog, catalog_subset, PatternCategory, QueryClass, SeedTemplate};

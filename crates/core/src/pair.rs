@@ -70,6 +70,17 @@ impl TrainingPair {
     pub fn sql_text(&self) -> String {
         self.sql.to_string()
     }
+
+    /// The NL side as dedup and the translation models see it: the
+    /// lemmatized tokens joined by spaces, or the lowercased raw NL
+    /// before lemmatization.
+    pub fn nl_key(&self) -> String {
+        if self.nl_lemmas.is_empty() {
+            self.nl.to_lowercase()
+        } else {
+            self.nl_lemmas.join(" ")
+        }
+    }
 }
 
 impl fmt::Display for TrainingPair {
@@ -144,17 +155,8 @@ impl TrainingCorpus {
     pub fn dedup(&mut self) -> usize {
         let mut seen = std::collections::HashSet::new();
         let before = self.pairs.len();
-        self.pairs.retain(|p| {
-            let key = (
-                if p.nl_lemmas.is_empty() {
-                    p.nl.to_lowercase()
-                } else {
-                    p.nl_lemmas.join(" ")
-                },
-                p.sql_text(),
-            );
-            seen.insert(key)
-        });
+        self.pairs
+            .retain(|p| seen.insert((p.nl_key(), p.sql_text())));
         before - self.pairs.len()
     }
 
@@ -176,14 +178,7 @@ impl TrainingCorpus {
     /// Iterate over `(lemmatized NL, SQL text)` string pairs, the format
     /// consumed by translation models.
     pub fn text_pairs(&self) -> impl Iterator<Item = (String, String)> + '_ {
-        self.pairs.iter().map(|p| {
-            let nl = if p.nl_lemmas.is_empty() {
-                p.nl.to_lowercase()
-            } else {
-                p.nl_lemmas.join(" ")
-            };
-            (nl, p.sql_text())
-        })
+        self.pairs.iter().map(|p| (p.nl_key(), p.sql_text()))
     }
 }
 

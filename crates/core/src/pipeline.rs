@@ -1,14 +1,16 @@
 //! The end-to-end training-data pipeline: generate → augment →
-//! lemmatize → analyze.
+//! lemmatize → analyze → dedup.
 //!
 //! This is the flow of paper Figure 2 (left side): the Generator
 //! instantiates seed templates against the schema, the Augmentation step
 //! adds linguistic variations, and the Lemmatizer normalizes every NL
-//! side. A final static-analysis stage (`dbpal-analyze`) then proves
-//! every surviving pair name-resolves, type-checks, and joins validly
-//! against the schema; the [`dbpal_analyze::AnalyzerPolicy`] knob decides
-//! whether findings are ignored, counted, or gate the pair out of the
-//! corpus. The output corpus can then be fed to any pluggable
+//! side. A static-analysis stage (`dbpal-analyze`) then proves every
+//! pair name-resolves, type-checks, and joins validly against the
+//! schema; the [`dbpal_analyze::AnalyzerPolicy`] knob decides whether
+//! findings are ignored, counted, or gate the pair out of the corpus.
+//! Last, the scored pairs are admitted through a
+//! [`crate::stream::StreamDedup`] index, the pipeline's only dedup
+//! decision. The output corpus can then be fed to any pluggable
 //! [`crate::TranslationModel`].
 //!
 //! Every stage fans out across `config.threads` workers (see
@@ -19,6 +21,7 @@
 //! returns a [`PipelineReport`] with per-stage wall time and pair
 //! accounting.
 
+use crate::stream::{AdmitOutcome, StreamDedup};
 use crate::templates::{catalog, SeedTemplate};
 use crate::{
     Augmenter, GenerationConfig, Generator, GeneratorStats, Provenance, TrainingCorpus,
@@ -40,24 +43,24 @@ pub struct StageTimings {
     pub augment: Duration,
     /// Lemmatization (§2.2.3).
     pub lemmatize: Duration,
-    /// Duplicate removal.
-    pub dedup: Duration,
     /// Static semantic analysis of every pair.
     pub analyze: Duration,
+    /// Admission through the dedup index.
+    pub dedup: Duration,
     /// The whole pipeline run.
     pub total: Duration,
 }
 
 impl StageTimings {
     /// Add another run's timings into this one — how the streaming
-    /// layer rolls per-round timings up into chunk and run totals
-    /// without taking any wall clocks of its own.
+    /// layer rolls per-round timings up into run totals without taking
+    /// any wall clocks of its own.
     pub fn accumulate(&mut self, other: &StageTimings) {
         self.generate += other.generate;
         self.augment += other.augment;
         self.lemmatize += other.lemmatize;
-        self.dedup += other.dedup;
         self.analyze += other.analyze;
+        self.dedup += other.dedup;
         self.total += other.total;
     }
 }
@@ -104,20 +107,8 @@ pub fn analyze_pairs(
     threads: usize,
     policy: AnalyzerPolicy,
 ) -> (Vec<TrainingPair>, AnalyzerReport) {
-    analyze_pairs_with(schema, pairs, threads, policy, &ParStrategy::default())
-}
-
-/// [`analyze_pairs`] with an explicit execution strategy — the pipeline
-/// passes its configured [`ParStrategy`] so the stage shares the
-/// persistent pool (or pinned/scoped choice) with the rest of the run.
-pub fn analyze_pairs_with(
-    schema: &Schema,
-    pairs: Vec<TrainingPair>,
-    threads: usize,
-    policy: AnalyzerPolicy,
-    par: &ParStrategy,
-) -> (Vec<TrainingPair>, AnalyzerReport) {
-    let (scored, report) = analyze_pairs_scored_with(schema, pairs, threads, policy, par);
+    let (scored, report) =
+        analyze_pairs_scored_with(schema, pairs, threads, policy, &ParStrategy::default());
     (scored.into_iter().map(|(p, _)| p).collect(), report)
 }
 
@@ -125,11 +116,12 @@ pub fn analyze_pairs_with(
 /// [`analyze_pairs_scored_with`] cleanliness score; warnings count 1.
 pub const SCORE_ERROR_WEIGHT: u32 = 1000;
 
-/// As [`analyze_pairs_with`], additionally tagging every surviving pair
-/// with its *cleanliness score*: `SCORE_ERROR_WEIGHT` per error-severity
-/// diagnostic plus one per warning, so `0` means analyzer-clean and
-/// lower is cleaner. The streaming dedup layer uses the score to pick a
-/// winner when two pairs share an NL side but disagree on the SQL.
+/// As [`analyze_pairs`] under an explicit execution strategy,
+/// additionally tagging every surviving pair with its *cleanliness
+/// score*: `SCORE_ERROR_WEIGHT` per error-severity diagnostic plus one
+/// per warning, so `0` means analyzer-clean and lower is cleaner. The
+/// dedup index uses the score to pick a winner when two pairs share an
+/// NL side but disagree on the SQL.
 pub fn analyze_pairs_scored_with(
     schema: &Schema,
     pairs: Vec<TrainingPair>,
@@ -186,15 +178,17 @@ pub fn analyze_pairs_scored_with(
 }
 
 /// Accounting for one pipeline run: how many pairs each stage produced,
-/// how many duplicates were dropped, and where the generator's sampling
+/// how many the dedup index dropped, and where the generator's sampling
 /// loop spent its retries. Built by
-/// [`TrainingPipeline::generate_with_report`].
+/// [`TrainingPipeline::generate_with_report`], and once per round by
+/// [`TrainingPipeline::stream`]; either way it describes exactly the
+/// pairs the sink received.
 ///
 /// The counters obey invariants checked by
 /// [`PipelineReport::check_consistency`]:
-/// `seed_pairs + augmented_pairs == pre_dedup_pairs`,
-/// `pre_dedup_pairs - dedup_dropped - analyzer.rejected == final_pairs`,
-/// and the per-provenance counts sum to `final_pairs`.
+/// `seed_pairs + augmented_pairs - analyzer.rejected - dedup_dropped ==
+/// final_pairs`, the analyzer saw every seed and augmented pair, and
+/// the per-provenance counts sum to `final_pairs`.
 #[derive(Debug, Clone)]
 pub struct PipelineReport {
     /// Worker threads the run used (the resolved value, never 0).
@@ -203,11 +197,10 @@ pub struct PipelineReport {
     pub seed_pairs: usize,
     /// Pairs added by the augmentation stage.
     pub augmented_pairs: usize,
-    /// Corpus size entering dedup (seed + augmented).
-    pub pre_dedup_pairs: usize,
-    /// Exact duplicates removed.
+    /// Pairs the dedup index dropped: repeats of admitted content and,
+    /// under [`crate::DedupPolicy::ResolveConflicts`], conflict losers.
     pub dedup_dropped: usize,
-    /// Pairs in the returned corpus.
+    /// Pairs handed to the sink.
     pub final_pairs: usize,
     /// Final pair count per provenance.
     pub provenance: BTreeMap<Provenance, usize>,
@@ -226,22 +219,15 @@ impl PipelineReport {
     /// Verify the internal accounting invariants; returns a description
     /// of the first violation.
     pub fn check_consistency(&self) -> Result<(), String> {
-        if self.seed_pairs + self.augmented_pairs != self.pre_dedup_pairs {
+        let produced = self.seed_pairs + self.augmented_pairs;
+        if produced != self.final_pairs + self.dedup_dropped + self.analyzer.rejected {
             return Err(format!(
-                "stage outputs do not sum: seed {} + augmented {} != pre-dedup {}",
-                self.seed_pairs, self.augmented_pairs, self.pre_dedup_pairs
-            ));
-        }
-        if self.pre_dedup_pairs < self.final_pairs {
-            return Err(format!(
-                "dedup grew the corpus: {} -> {}",
-                self.pre_dedup_pairs, self.final_pairs
-            ));
-        }
-        if self.pre_dedup_pairs - self.final_pairs != self.dedup_dropped + self.analyzer.rejected {
-            return Err(format!(
-                "drops mismatch: pre {} - final {} != dedup {} + rejected {}",
-                self.pre_dedup_pairs, self.final_pairs, self.dedup_dropped, self.analyzer.rejected
+                "drops mismatch: seed {} + augmented {} != final {} + dedup {} + rejected {}",
+                self.seed_pairs,
+                self.augmented_pairs,
+                self.final_pairs,
+                self.dedup_dropped,
+                self.analyzer.rejected
             ));
         }
         let a = &self.analyzer;
@@ -252,11 +238,10 @@ impl PipelineReport {
                 }
             }
             AnalyzerPolicy::Warn | AnalyzerPolicy::Reject => {
-                if a.analyzed != self.pre_dedup_pairs - self.dedup_dropped {
+                if a.analyzed != produced {
                     return Err(format!(
-                        "analyzer saw {} pairs, dedup emitted {}",
-                        a.analyzed,
-                        self.pre_dedup_pairs - self.dedup_dropped
+                        "analyzer saw {} pairs, the stages produced {produced}",
+                        a.analyzed
                     ));
                 }
                 if a.policy == AnalyzerPolicy::Warn && a.rejected != 0 {
@@ -338,8 +323,8 @@ impl PipelineReport {
             ("pipeline.stage.generate", t.generate),
             ("pipeline.stage.augment", t.augment),
             ("pipeline.stage.lemmatize", t.lemmatize),
-            ("pipeline.stage.dedup", t.dedup),
             ("pipeline.stage.analyze", t.analyze),
+            ("pipeline.stage.dedup", t.dedup),
             ("pipeline.stage.total", t.total),
         ] {
             reg.histogram(stage).record(d);
@@ -366,11 +351,6 @@ impl PipelineReport {
             self.augmented_pairs
         );
         out += &format!("  lemmatize {}\n", ms(self.timings.lemmatize));
-        out += &format!(
-            "  dedup     {}  -{} duplicates\n",
-            ms(self.timings.dedup),
-            self.dedup_dropped
-        );
         if self.analyzer.policy == AnalyzerPolicy::Off {
             out += "  analyze   (off)\n";
         } else {
@@ -392,6 +372,11 @@ impl PipelineReport {
                 self.analyzer.rejected,
             );
         }
+        out += &format!(
+            "  dedup     {}  -{} dropped\n",
+            ms(self.timings.dedup),
+            self.dedup_dropped
+        );
         let provenance = self
             .provenance
             .iter()
@@ -480,15 +465,17 @@ impl TrainingPipeline {
         (sink.into_corpus(), round)
     }
 
-    /// Run the five pipeline stages once over one schema, returning the
-    /// surviving pairs tagged with their analyzer cleanliness scores
-    /// (see [`analyze_pairs_scored_with`]) and the round's report. This
-    /// is the unit of work the streaming driver repeats per round.
+    /// Run the five pipeline stages once over one schema, admitting the
+    /// analyzer-scored pairs (see [`analyze_pairs_scored_with`])
+    /// through `dedup` as the last stage. Returns what the index let
+    /// through and the round's report. This is the unit of work the
+    /// streaming driver repeats per round, with one index for the run.
     pub(crate) fn run_stages(
         &self,
         schema: &Schema,
         templates: &[SeedTemplate],
-    ) -> (Vec<(TrainingPair, u32)>, PipelineReport) {
+        dedup: &mut StreamDedup,
+    ) -> (AdmitOutcome, PipelineReport) {
         let threads = self.config.effective_threads();
         let run_start = Instant::now();
 
@@ -530,33 +517,32 @@ impl TrainingPipeline {
                 pair.nl_lemmas = nl_lemmas;
             }
         }
-        let mut corpus = TrainingCorpus::from_pairs(pairs);
         let lemmatize_time = stage.elapsed();
 
-        // Step 4: duplicate removal.
+        // Step 4: static semantic analysis. Every pair is proven
+        // against the schema; under `Reject` invalid pairs are dropped
+        // with per-code and per-provenance accounting. The survivors
+        // keep their cleanliness scores for the dedup index.
         let stage = Instant::now();
-        let pre_dedup_pairs = corpus.len();
-        let dedup_dropped = corpus.dedup();
-        let dedup_time = stage.elapsed();
-
-        // Step 5: static semantic analysis. Every surviving pair is
-        // proven against the schema; under `Reject` invalid pairs are
-        // dropped with per-code and per-provenance accounting. The
-        // survivors keep their cleanliness scores for the streaming
-        // dedup layer.
-        let stage = Instant::now();
-        let (kept, analyzer_report) = analyze_pairs_scored_with(
+        let (scored, analyzer_report) = analyze_pairs_scored_with(
             schema,
-            corpus.into_iter().collect(),
+            pairs,
             threads,
             self.config.analyzer_policy,
             &self.config.par,
         );
         let analyze_time = stage.elapsed();
 
+        // Step 5: dedup. The index drops this round's repeats and
+        // anything it already admitted; a verdict depends only on the
+        // SQL, so a repeat was scored like its first occurrence.
+        let stage = Instant::now();
+        let admitted = dedup.admit_round(scored);
+        let dedup_time = stage.elapsed();
+
         let mut provenance = BTreeMap::new();
         let mut template_counts = BTreeMap::new();
-        for (pair, _) in &kept {
+        for pair in &admitted.pairs {
             *provenance.entry(pair.provenance).or_insert(0) += 1;
             *template_counts.entry(pair.template_id.clone()).or_insert(0) += 1;
         }
@@ -564,9 +550,8 @@ impl TrainingPipeline {
             threads,
             seed_pairs,
             augmented_pairs,
-            pre_dedup_pairs,
-            dedup_dropped,
-            final_pairs: kept.len(),
+            dedup_dropped: admitted.exact_dropped + admitted.conflicts_resolved,
+            final_pairs: admitted.pairs.len(),
             provenance,
             template_counts,
             generator: generator_stats,
@@ -575,12 +560,12 @@ impl TrainingPipeline {
                 generate: generate_time,
                 augment: augment_time,
                 lemmatize: lemmatize_time,
-                dedup: dedup_time,
                 analyze: analyze_time,
+                dedup: dedup_time,
                 total: run_start.elapsed(),
             },
         };
-        (kept, report)
+        (admitted, report)
     }
 
     /// Generate corpora for several schemas and merge them (the multi-
@@ -881,7 +866,10 @@ mod tests {
             report.analyzer.policy,
             dbpal_analyze::AnalyzerPolicy::Reject
         );
-        assert_eq!(report.analyzer.analyzed, report.final_pairs);
+        assert_eq!(
+            report.analyzer.analyzed,
+            report.seed_pairs + report.augmented_pairs
+        );
         assert_eq!(report.analyzer.flagged, 0, "generated pairs must be clean");
         assert_eq!(report.analyzer.rejected, 0);
         assert!(report.analyzer.codes.is_empty());

@@ -4,10 +4,10 @@
 //! caps corpus size at available memory. Real fine-tuning corpora are
 //! hundreds of thousands of pairs, so this module turns the pipeline
 //! into a *producer*: [`TrainingPipeline::stream`] runs the existing
-//! generate → augment → lemmatize → dedup → analyze stages repeatedly
-//! in seeded **rounds**, pushes every surviving pair into a
-//! [`CorpusSink`], and never holds more than one round of pairs plus
-//! the dedup index in memory.
+//! generate → augment → lemmatize → analyze → dedup stages repeatedly
+//! in seeded **rounds**, all admitting through one run-long dedup
+//! index, pushes every admitted pair into a [`CorpusSink`], and never
+//! holds more than one round of pairs plus the dedup index in memory.
 //!
 //! # Determinism contract
 //!
@@ -19,24 +19,25 @@
 //!   `stream_seed(seed, r)`. Rounds cycle the schema list in order.
 //! * **Thread counts** never change bytes: each round is a full
 //!   pipeline run, which is already thread-count-invariant.
-//! * **Chunking** never changes bytes: `rounds_per_chunk` only decides
-//!   how many rounds pass between report/probe boundaries. Dedup is
-//!   resolved *per round* (never per chunk), and the target-pairs stop
-//!   condition is evaluated only at round boundaries.
+//! * **Rounds** are the only unit: dedup is resolved per round, the
+//!   target-pairs stop condition is evaluated at round boundaries, and
+//!   each round gets one report row and one resident-set probe.
 //!
 //! # Dedup semantics
 //!
-//! [`StreamDedup`] keeps a compact FNV-keyed index across rounds:
+//! [`StreamDedup`] is the pipeline's only dedup decision. It keeps a
+//! compact FNV-keyed index across rounds and admits each round as the
+//! round's last stage:
 //!
 //! * [`DedupPolicy::Exact`] drops later pairs with an identical
-//!   (lemmatized-NL, SQL) key — the classic corpus dedup, extended
-//!   across rounds.
+//!   (lemmatized-NL, SQL) key — the classic corpus dedup, within a
+//!   round and across rounds.
 //! * [`DedupPolicy::ResolveConflicts`] additionally resolves same-NL /
 //!   *conflicting*-SQL collisions: within a round the analyzer-cleanest
 //!   pair wins (strictly lower [`crate::pipeline::SCORE_ERROR_WEIGHT`]
 //!   -based score; ties keep the first seen), and across rounds the
 //!   already-emitted pair always stays — emitted bytes are never
-//!   retracted, which is what keeps the stream chunk-invariant.
+//!   retracted.
 //!
 //! The index stores 64-bit FNV-1a keys, not pair text, so 100k pairs
 //! cost a few megabytes. (At that scale the probability of a 64-bit
@@ -46,9 +47,9 @@
 //! # Ceiling methodology
 //!
 //! [`StreamReport`] carries two memory observations per run: the
-//! kernel-reported peak resident set sampled at every chunk boundary
+//! kernel-reported peak resident set sampled after every round
 //! ([`dbpal_util::resident_bytes`]), and a conservative sink-side
-//! estimate (`max` over chunks of bytes accepted in that chunk plus the
+//! estimate (`max` over rounds of bytes accepted in that round plus the
 //! dedup-index footprint) for platforms without procfs. The corpus gate
 //! asserts the probe against its configured ceiling.
 
@@ -123,22 +124,12 @@ pub trait CorpusSink {
     }
 }
 
-/// The stable NL-side dedup key: lemmatized tokens when present, else
-/// the lowercased raw NL — exactly the key [`TrainingCorpus::dedup`]
-/// uses, so the streaming layer and the in-round dedup stage agree.
-fn nl_key(pair: &TrainingPair) -> String {
-    if pair.nl_lemmas.is_empty() {
-        pair.nl.to_lowercase()
-    } else {
-        pair.nl_lemmas.join(" ")
-    }
-}
-
-/// FNV-1a over `nl_key`, a separator, and the SQL text: the exact-pair
-/// identity used by [`DedupPolicy::Exact`].
+/// FNV-1a over [`TrainingPair::nl_key`], a separator, and the SQL
+/// text: the exact-pair identity used by [`DedupPolicy::Exact`] — the
+/// same (NL, SQL) identity [`TrainingCorpus::dedup`] keys on.
 fn pair_hash(pair: &TrainingPair) -> u64 {
     let mut h = Fnv1a::new();
-    h.update(nl_key(pair).as_bytes());
+    h.update(pair.nl_key().as_bytes());
     h.update(&[0x1f]);
     h.update(pair.sql_text().as_bytes());
     h.finish()
@@ -146,9 +137,8 @@ fn pair_hash(pair: &TrainingPair) -> u64 {
 
 /// Writes one compact JSON object per pair (JSONL), tracking pair
 /// count, byte count, and a running FNV-1a digest over the emitted
-/// bytes. The digest of a [`DigestSink`] run with the same
-/// configuration is identical by construction — that is the
-/// 1-vs-8-threads byte-identity check the corpus gate runs without
+/// bytes. Over [`std::io::sink`] it writes nothing and only digests —
+/// the 1-vs-8-threads byte-identity check the corpus gate runs without
 /// writing the file twice.
 pub struct JsonlSink<W: Write> {
     writer: W,
@@ -203,52 +193,6 @@ impl<W: Write> CorpusSink for JsonlSink<W> {
     fn finish(&mut self) -> Result<(), SinkError> {
         self.writer.flush()?;
         Ok(())
-    }
-}
-
-/// Counts and digests exactly what a [`JsonlSink`] would write, without
-/// writing anything — the cheap determinism witness.
-#[derive(Debug, Default)]
-pub struct DigestSink {
-    digest: Fnv1a,
-    pairs: usize,
-    bytes: u64,
-}
-
-impl DigestSink {
-    /// An empty digesting sink.
-    pub fn new() -> Self {
-        DigestSink {
-            digest: Fnv1a::new(),
-            pairs: 0,
-            bytes: 0,
-        }
-    }
-
-    /// FNV-1a digest over the JSONL bytes the run would have written.
-    pub fn digest(&self) -> u64 {
-        self.digest.finish()
-    }
-
-    /// Pairs accepted.
-    pub fn pairs(&self) -> usize {
-        self.pairs
-    }
-
-    /// Bytes the equivalent JSONL file would hold.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl CorpusSink for DigestSink {
-    fn accept(&mut self, pair: TrainingPair) -> Result<usize, SinkError> {
-        let mut line = pair_to_jsonl(&pair);
-        line.push('\n');
-        self.digest.update(line.as_bytes());
-        self.pairs += 1;
-        self.bytes += line.len() as u64;
-        Ok(line.len())
     }
 }
 
@@ -313,7 +257,7 @@ pub fn provenance_split_weight(p: Provenance) -> f64 {
 /// content hash, with the per-provenance weights of
 /// [`provenance_split_weight`] scaling the base test fraction. The
 /// routing depends only on pair content, so the same pair lands on the
-/// same side regardless of thread count, chunking, or arrival order.
+/// same side regardless of thread count or arrival order.
 pub struct SplitSink<'a> {
     train: &'a mut dyn CorpusSink,
     test: &'a mut dyn CorpusSink,
@@ -355,7 +299,7 @@ impl CorpusSink for SplitSink<'_> {
         let p_test =
             (self.test_fraction * provenance_split_weight(pair.provenance)).clamp(0.0, 1.0);
         let mut h = Fnv1a::new();
-        h.update(nl_key(&pair).as_bytes());
+        h.update(pair.nl_key().as_bytes());
         h.update(&[0x1f]);
         h.update(pair.template_id.as_bytes());
         // Top 53 bits → a uniform fraction in [0, 1).
@@ -375,11 +319,12 @@ impl CorpusSink for SplitSink<'_> {
     }
 }
 
-/// How the streaming layer treats repeated content across rounds.
+/// How the dedup index treats repeated content, within a round and
+/// across rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DedupPolicy {
     /// Drop later pairs whose (lemmatized NL, SQL) exactly matches an
-    /// emitted one — the classic corpus dedup, extended across rounds.
+    /// admitted one — the classic corpus dedup, extended across rounds.
     Exact,
     /// [`DedupPolicy::Exact`] plus same-NL/conflicting-SQL resolution:
     /// within a round the analyzer-cleanest pair wins (ties keep the
@@ -429,10 +374,9 @@ impl StreamDedup {
 
     /// Admit one generation round of analyzer-scored pairs (lower score
     /// = cleaner; see [`crate::pipeline::SCORE_ERROR_WEIGHT`]).
-    /// Resolution scope is exactly this call: conflicts are settled
-    /// among the round's pairs, then the winners are committed to the
-    /// cross-round index — which is why chunk boundaries can never
-    /// change what gets emitted.
+    /// Resolution scope is exactly this call: repeats and conflicts are
+    /// settled among the round's pairs, then the winners are committed
+    /// to the cross-round index.
     pub fn admit_round(&mut self, scored: Vec<(TrainingPair, u32)>) -> AdmitOutcome {
         match self.policy {
             DedupPolicy::Exact => self.admit_exact(scored),
@@ -469,7 +413,7 @@ impl StreamDedup {
         // slot, so emission order is stable under resolution.
         let mut slots: HashMap<u64, (usize, u64, u32)> = HashMap::new();
         for (pair, score) in scored {
-            let nl_h = fnv1a(nl_key(&pair).as_bytes());
+            let nl_h = fnv1a(pair.nl_key().as_bytes());
             let sql_h = fnv1a(pair.sql_text().as_bytes());
             if let Some(&winner_sql) = self.index.get(&nl_h) {
                 // An earlier round already emitted this NL; emitted
@@ -517,33 +461,28 @@ pub struct StreamOptions {
     /// Hard cap on generation rounds (each round is one full pipeline
     /// run over the next schema in the cycle).
     pub max_rounds: usize,
-    /// Rounds between chunk boundaries (report rows + resident-set
-    /// probes). Affects observability granularity only, never bytes.
-    pub rounds_per_chunk: usize,
-    /// Cross-round dedup policy.
+    /// Dedup policy of the run-long index.
     pub dedup: DedupPolicy,
 }
 
 impl StreamOptions {
     /// The configuration equivalent to the classic one-shot API: one
-    /// round, exact dedup (which a single round never triggers — the
-    /// pipeline's own dedup stage already ran).
+    /// round under a fresh exact index, which drops the round's repeats
+    /// just as the classic corpus dedup does.
     pub fn one_shot() -> Self {
         StreamOptions {
             target_pairs: 0,
             max_rounds: 1,
-            rounds_per_chunk: 1,
             dedup: DedupPolicy::Exact,
         }
     }
 
     /// Corpus-scale defaults: run until `target_pairs`, resolve NL
-    /// conflicts, probe memory every few rounds.
+    /// conflicts.
     pub fn corpus(target_pairs: usize) -> Self {
         StreamOptions {
             target_pairs,
             max_rounds: 1024,
-            rounds_per_chunk: 4,
             dedup: DedupPolicy::ResolveConflicts,
         }
     }
@@ -553,36 +492,8 @@ impl StreamOptions {
         if self.max_rounds == 0 {
             return Err("max_rounds must be at least 1".into());
         }
-        if self.rounds_per_chunk == 0 {
-            return Err("rounds_per_chunk must be at least 1".into());
-        }
         Ok(())
     }
-}
-
-/// Accounting for one chunk (a batch of `rounds_per_chunk` rounds).
-#[derive(Debug, Clone)]
-pub struct ChunkReport {
-    /// 0-based chunk index.
-    pub chunk: usize,
-    /// Rounds this chunk ran.
-    pub rounds: usize,
-    /// Analyzer-clean pairs the rounds produced (pre stream-dedup).
-    pub generated: usize,
-    /// Pairs emitted to the sink.
-    pub emitted: usize,
-    /// Exact duplicates dropped by the stream index.
-    pub exact_dropped: usize,
-    /// Conflict losers dropped by the stream index.
-    pub conflicts_resolved: usize,
-    /// Bytes the sink accounted for this chunk's pairs.
-    pub bytes_accepted: u64,
-    /// Dedup-index entries after this chunk.
-    pub index_entries: usize,
-    /// Per-stage wall time summed over the chunk's rounds.
-    pub stage: StageTimings,
-    /// Kernel resident-set size at the chunk boundary, when available.
-    pub resident_bytes: Option<u64>,
 }
 
 /// Accounting for a whole streaming run.
@@ -594,19 +505,18 @@ pub struct StreamReport {
     pub threads: usize,
     /// Schemas in the cycle.
     pub schemas: usize,
-    /// Per-round pipeline reports, in round order.
+    /// Per-round pipeline reports, in round order: each describes
+    /// exactly the pairs its round handed the sink.
     pub rounds: Vec<PipelineReport>,
-    /// Per-chunk accounting, in chunk order.
-    pub chunks: Vec<ChunkReport>,
     /// Pairs emitted to the sink.
     pub emitted: usize,
-    /// Analyzer-clean pairs the rounds produced (pre stream-dedup).
+    /// Pairs the analyzer let through to the dedup index.
     pub generated: usize,
     /// Bytes the sink accounted for all emitted pairs.
     pub bytes_accepted: u64,
-    /// Exact duplicates dropped by the stream index.
+    /// Exact repeats dropped by the index, within and across rounds.
     pub exact_dropped: usize,
-    /// Conflict losers dropped by the stream index.
+    /// Conflict losers dropped by the index.
     pub conflicts_resolved: usize,
     /// Pairs the analyzer rejected inside the rounds (0 under the
     /// default policy — generation only emits analyzable SQL).
@@ -618,18 +528,18 @@ pub struct StreamReport {
     pub target_reached: bool,
     /// Final dedup-index entry count.
     pub index_entries: usize,
-    /// Maximum kernel resident-set observation across chunk
-    /// boundaries, when the platform exposes one.
+    /// Maximum kernel resident-set observation across rounds, when the
+    /// platform exposes one.
     pub peak_resident_bytes: Option<u64>,
-    /// Sink-side ceiling estimate: max over chunks of that chunk's
-    /// accepted bytes plus the dedup-index footprint at the time.
+    /// Sink-side ceiling estimate: max over rounds of that round's
+    /// accepted bytes plus the dedup-index footprint after it.
     pub estimated_peak_bytes: u64,
     /// Per-stage wall time summed over every round.
     pub timings: StageTimings,
 }
 
 impl StreamReport {
-    /// Dropped pairs as a fraction of analyzer-clean generated pairs.
+    /// Dropped pairs as a fraction of the pairs the index saw.
     pub fn dedup_rate(&self) -> f64 {
         if self.generated == 0 {
             0.0
@@ -643,39 +553,30 @@ impl StreamReport {
         self.rounds
     }
 
-    /// Verify the cross-chunk accounting invariants; returns a
+    /// Verify the round-by-round accounting invariants; returns a
     /// description of the first violation.
     pub fn check_consistency(&self) -> Result<(), String> {
-        let sums = self.chunks.iter().fold((0, 0, 0, 0, 0u64), |acc, c| {
-            (
-                acc.0 + c.rounds,
-                acc.1 + c.generated,
-                acc.2 + c.emitted,
-                acc.3 + c.exact_dropped + c.conflicts_resolved,
-                acc.4 + c.bytes_accepted,
-            )
-        });
-        if sums.0 != self.rounds.len() {
-            return Err(format!(
-                "chunk rounds sum to {}, run has {} round reports",
-                sums.0,
-                self.rounds.len()
-            ));
-        }
-        if sums.1 != self.generated || sums.2 != self.emitted || sums.4 != self.bytes_accepted {
-            return Err("chunk totals disagree with run totals".into());
-        }
         if self.generated != self.emitted + self.exact_dropped + self.conflicts_resolved {
             return Err(format!(
                 "generated {} != emitted {} + exact {} + conflicts {}",
                 self.generated, self.emitted, self.exact_dropped, self.conflicts_resolved
             ));
         }
-        if sums.3 != self.exact_dropped + self.conflicts_resolved {
-            return Err("chunk drop counts disagree with run totals".into());
+        if self.rounds.iter().map(|r| r.final_pairs).sum::<usize>() != self.emitted {
+            return Err("round final_pairs do not sum to emitted".into());
         }
-        if self.rounds.iter().map(|r| r.final_pairs).sum::<usize>() != self.generated {
-            return Err("round final_pairs do not sum to generated".into());
+        if self.rounds.iter().map(|r| r.dedup_dropped).sum::<usize>()
+            != self.exact_dropped + self.conflicts_resolved
+        {
+            return Err("round dedup drops do not sum to the index's drops".into());
+        }
+        if self.estimated_peak_bytes
+            > self.bytes_accepted + self.index_entries as u64 * INDEX_ENTRY_BYTES
+        {
+            return Err(format!(
+                "estimated peak {} exceeds all bytes accepted plus the final index",
+                self.estimated_peak_bytes
+            ));
         }
         if self
             .rounds
@@ -707,11 +608,7 @@ impl StreamReport {
             "stream report (seed {:#x}, threads {}, {} schemas)\n",
             self.seed, self.threads, self.schemas
         );
-        out += &format!(
-            "  rounds    {} in {} chunks\n",
-            self.rounds.len(),
-            self.chunks.len()
-        );
+        out += &format!("  rounds    {}\n", self.rounds.len());
         out += &format!(
             "  pairs     {} emitted of {} generated (dedup rate {:.3}: {} exact, {} conflicts)\n",
             self.emitted,
@@ -795,7 +692,6 @@ impl TrainingPipeline {
             threads: self.config().effective_threads(),
             schemas: schemas.len(),
             rounds: Vec::new(),
-            chunks: Vec::new(),
             emitted: 0,
             generated: 0,
             bytes_accepted: 0,
@@ -809,63 +705,36 @@ impl TrainingPipeline {
             estimated_peak_bytes: 0,
             timings: StageTimings::default(),
         };
-        let mut round = 0usize;
-        let mut done = false;
-        while round < opts.max_rounds && !done {
-            let mut chunk = ChunkReport {
-                chunk: report.chunks.len(),
-                rounds: 0,
-                generated: 0,
-                emitted: 0,
-                exact_dropped: 0,
-                conflicts_resolved: 0,
-                bytes_accepted: 0,
-                index_entries: 0,
-                stage: StageTimings::default(),
-                resident_bytes: None,
+        for round in 0..opts.max_rounds {
+            let config = GenerationConfig {
+                seed: round_seed(base_seed, round as u64),
+                ..self.config().clone()
             };
-            while chunk.rounds < opts.rounds_per_chunk && round < opts.max_rounds && !done {
-                let config = GenerationConfig {
-                    seed: round_seed(base_seed, round as u64),
-                    ..self.config().clone()
-                };
-                let schema = schemas[round % schemas.len()];
-                let (scored, round_report) =
-                    TrainingPipeline::new(config).run_stages(schema, templates);
-                chunk.generated += scored.len();
-                chunk.stage.accumulate(&round_report.timings);
-                report.analyzer_rejected += round_report.analyzer.rejected;
-                report.rounds.push(round_report);
+            let schema = schemas[round % schemas.len()];
+            let (admitted, round_report) =
+                TrainingPipeline::new(config).run_stages(schema, templates, &mut dedup);
+            report.generated += round_report.final_pairs + round_report.dedup_dropped;
+            report.exact_dropped += admitted.exact_dropped;
+            report.conflicts_resolved += admitted.conflicts_resolved;
+            report.analyzer_rejected += round_report.analyzer.rejected;
+            report.timings.accumulate(&round_report.timings);
+            report.rounds.push(round_report);
 
-                let admitted = dedup.admit_round(scored);
-                chunk.exact_dropped += admitted.exact_dropped;
-                chunk.conflicts_resolved += admitted.conflicts_resolved;
-                for pair in admitted.pairs {
-                    let n = sink.accept(pair).map_err(StreamError::Sink)?;
-                    chunk.bytes_accepted += n as u64;
-                    chunk.emitted += 1;
-                }
-                chunk.rounds += 1;
-                round += 1;
-                if opts.target_pairs > 0 && report.emitted + chunk.emitted >= opts.target_pairs {
-                    done = true;
-                }
+            let mut round_bytes = 0u64;
+            for pair in admitted.pairs {
+                round_bytes += sink.accept(pair).map_err(StreamError::Sink)? as u64;
+                report.emitted += 1;
             }
-            chunk.index_entries = dedup.len();
-            chunk.resident_bytes = resident_bytes();
-            report.emitted += chunk.emitted;
-            report.generated += chunk.generated;
-            report.bytes_accepted += chunk.bytes_accepted;
-            report.exact_dropped += chunk.exact_dropped;
-            report.conflicts_resolved += chunk.conflicts_resolved;
-            report.timings.accumulate(&chunk.stage);
+            report.bytes_accepted += round_bytes;
             report.estimated_peak_bytes = report
                 .estimated_peak_bytes
-                .max(chunk.bytes_accepted + chunk.index_entries as u64 * INDEX_ENTRY_BYTES);
-            if let Some(rss) = chunk.resident_bytes {
+                .max(round_bytes + dedup.len() as u64 * INDEX_ENTRY_BYTES);
+            if let Some(rss) = resident_bytes() {
                 report.peak_resident_bytes = Some(report.peak_resident_bytes.unwrap_or(0).max(rss));
             }
-            report.chunks.push(chunk);
+            if opts.target_pairs > 0 && report.emitted >= opts.target_pairs {
+                break;
+            }
         }
         sink.finish().map_err(StreamError::Sink)?;
         report.index_entries = dedup.len();
@@ -912,43 +781,44 @@ mod tests {
         let streamed = sink.into_corpus();
         assert_eq!(streamed.pairs(), classic.pairs());
         assert_eq!(report.emitted, classic.len());
-        assert_eq!(report.exact_dropped, 0);
+        // The one round's repeats are the index's only drops.
+        assert_eq!(report.exact_dropped, report.rounds[0].dedup_dropped);
         assert_eq!(report.conflicts_resolved, 0);
     }
 
     #[test]
-    fn digest_sink_matches_jsonl_sink() {
+    fn jsonl_sink_digest_is_fnv_of_written_bytes() {
         let pipeline = TrainingPipeline::new(tiny_config(11));
-        let mut jsonl = JsonlSink::new(Vec::new());
-        let mut digest = DigestSink::new();
         let opts = StreamOptions {
             max_rounds: 2,
             ..StreamOptions::corpus(0)
         };
+        let mut jsonl = JsonlSink::new(Vec::new());
+        let mut discard = JsonlSink::new(std::io::sink());
         pipeline.stream(&[&schema()], &opts, &mut jsonl).unwrap();
-        pipeline.stream(&[&schema()], &opts, &mut digest).unwrap();
+        pipeline.stream(&[&schema()], &opts, &mut discard).unwrap();
         assert!(jsonl.pairs() > 0);
-        assert_eq!(jsonl.digest(), digest.digest());
-        assert_eq!(jsonl.pairs(), digest.pairs());
-        assert_eq!(jsonl.bytes(), digest.bytes());
+        assert_eq!(
+            (jsonl.digest(), jsonl.pairs(), jsonl.bytes()),
+            (discard.digest(), discard.pairs(), discard.bytes())
+        );
+        let digest = jsonl.digest();
         let written = jsonl.into_inner();
-        assert_eq!(written.len() as u64, digest.bytes());
-        assert_eq!(dbpal_util::fnv1a(&written), digest.digest());
+        assert_eq!(written.len() as u64, discard.bytes());
+        assert_eq!(dbpal_util::fnv1a(&written), digest);
     }
 
     #[test]
     fn multi_round_streams_drop_cross_round_duplicates() {
         let pipeline = TrainingPipeline::new(tiny_config(3));
-        let mut sink = DigestSink::new();
+        let mut sink = JsonlSink::new(std::io::sink());
         let opts = StreamOptions {
             max_rounds: 3,
-            rounds_per_chunk: 2,
             ..StreamOptions::corpus(0)
         };
         let report = pipeline.stream(&[&schema()], &opts, &mut sink).unwrap();
         report.check_consistency().unwrap();
         assert_eq!(report.rounds.len(), 3);
-        assert_eq!(report.chunks.len(), 2);
         // Re-running the pipeline on the same tiny schema with fresh
         // seeds regenerates mostly-identical content, so the stream
         // index must be doing real work.
@@ -963,11 +833,10 @@ mod tests {
     fn target_stops_at_round_boundary() {
         let pipeline = TrainingPipeline::new(tiny_config(5));
         let per_round = pipeline.generate(&schema()).len();
-        let mut sink = DigestSink::new();
+        let mut sink = JsonlSink::new(std::io::sink());
         let opts = StreamOptions {
             target_pairs: per_round + 1,
             max_rounds: 64,
-            rounds_per_chunk: 1,
             dedup: DedupPolicy::ResolveConflicts,
         };
         let report = pipeline.stream(&[&schema()], &opts, &mut sink).unwrap();
@@ -983,13 +852,13 @@ mod tests {
     #[test]
     fn empty_schema_list_and_bad_options_rejected() {
         let pipeline = TrainingPipeline::new(tiny_config(1));
-        let mut sink = DigestSink::new();
+        let mut sink = JsonlSink::new(std::io::sink());
         assert!(matches!(
             pipeline.stream(&[], &StreamOptions::one_shot(), &mut sink),
             Err(StreamError::Options(_))
         ));
         let bad = StreamOptions {
-            rounds_per_chunk: 0,
+            max_rounds: 0,
             ..StreamOptions::one_shot()
         };
         assert!(matches!(

@@ -99,7 +99,11 @@ fn generated_pairs_analyze_clean_at_any_thread_count() {
                 report.render()
             );
             assert!(report.analyzer.codes.is_empty());
-            assert_eq!(report.analyzer.analyzed, corpus.len());
+            assert_eq!(
+                report.analyzer.analyzed,
+                report.seed_pairs + report.augmented_pairs
+            );
+            assert_eq!(report.final_pairs, corpus.len());
             reports.push(report.analyzer);
         }
         assert_eq!(
@@ -149,7 +153,11 @@ fn tiny_schema_slot_exhaustion_never_panics_or_leaks() {
 fn default_config_hospital_generation_is_clean() {
     let (corpus, report) =
         TrainingPipeline::new(GenerationConfig::default()).generate_with_report(&hospital());
-    assert_eq!(report.analyzer.analyzed, corpus.len());
+    assert_eq!(
+        report.analyzer.analyzed,
+        report.seed_pairs + report.augmented_pairs
+    );
+    assert_eq!(report.final_pairs, corpus.len());
     assert_eq!(report.analyzer.flagged, 0, "{}", report.render());
     assert_eq!(report.analyzer.rejected, 0, "{}", report.render());
 }

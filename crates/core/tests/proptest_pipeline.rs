@@ -104,9 +104,9 @@ fn random_small_schema(rng: &mut Rng) -> Schema {
 }
 
 /// The [`dbpal_core::PipelineReport`] counters are consistent for any
-/// configuration, schema shape, and thread count: stage outputs sum to
-/// the pre-dedup size, dedup drops equal pre − post, and provenance
-/// counts sum to the final corpus.
+/// configuration, schema shape, and thread count: the stage outputs
+/// less the analyzer's and the dedup index's drops are the final
+/// corpus, and provenance counts sum to it.
 #[test]
 fn report_counters_are_consistent_for_any_config() {
     forall!(cases = 12, |rng| {
@@ -119,12 +119,8 @@ fn report_counters_are_consistent_for_any_config() {
             .unwrap_or_else(|e| panic!("inconsistent report: {e}\n{}", report.render()));
         assert_eq!(report.final_pairs, corpus.len());
         assert_eq!(
-            report.seed_pairs + report.augmented_pairs,
-            report.pre_dedup_pairs
-        );
-        assert_eq!(
-            report.pre_dedup_pairs - report.final_pairs,
-            report.dedup_dropped
+            report.seed_pairs + report.augmented_pairs - report.final_pairs,
+            report.dedup_dropped + report.analyzer.rejected
         );
         assert_eq!(
             report.provenance.values().sum::<usize>(),

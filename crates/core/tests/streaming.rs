@@ -1,11 +1,11 @@
 //! Streaming-corpus integration battery: dedup-policy fixtures, the
-//! chunk-size/thread invariance property, JSONL round-trips, and the
+//! thread invariance property, JSONL round-trips, and the
 //! provenance-weighted split sink.
 
 use dbpal_core::CorpusSink;
 use dbpal_core::{
-    corpus_from_jsonl, DedupPolicy, DigestSink, GenerationConfig, JsonlSink, MemorySink,
-    Provenance, SplitSink, StreamDedup, StreamOptions, TrainingPair, TrainingPipeline,
+    corpus_from_jsonl, DedupPolicy, GenerationConfig, JsonlSink, MemorySink, Provenance, SplitSink,
+    StreamDedup, StreamOptions, TrainingCorpus, TrainingPair, TrainingPipeline,
 };
 use dbpal_schema::{Schema, SchemaBuilder, SemanticDomain, SqlType};
 use dbpal_util::forall;
@@ -50,6 +50,22 @@ fn scored(nl: &str, sql: &str, score: u32) -> (TrainingPair, u32) {
         .map(String::from)
         .collect();
     (pair, score)
+}
+
+/// A fixture round after `TrainingCorpus::dedup`, which keeps each
+/// (NL, SQL) pair's first occurrence. Survivors keep their scores: the
+/// analyzer's verdict depends only on the SQL, so every repeat carries
+/// the same one.
+fn in_round_deduped(raw: &[(TrainingPair, u32)]) -> Vec<(TrainingPair, u32)> {
+    let mut corpus = TrainingCorpus::from_pairs(raw.iter().map(|(p, _)| p.clone()).collect());
+    corpus.dedup();
+    corpus
+        .into_iter()
+        .map(|p| {
+            let score = raw.iter().find(|(q, _)| *q == p).map(|(_, s)| *s);
+            (p, score.expect("dedup keeps only input pairs"))
+        })
+        .collect()
 }
 
 /// One dedup fixture: named rounds of (nl, sql, score) plus the
@@ -136,6 +152,71 @@ fn dedup_conflict_fixtures() {
             want_conflicts: 0,
         },
         DedupCase {
+            name: "repeat_of_incumbent_within_round",
+            // The repeat differs only in raw casing, so keeping the
+            // first occurrence is visible in the emitted pair.
+            rounds: &[&[
+                ("show old patients", Q_AGE, 0),
+                ("show old patients", Q_DISEASE, 5),
+                ("Show old patients", Q_AGE, 0),
+            ]],
+            want_sql: &[Q_AGE],
+            want_exact: 1,
+            want_conflicts: 1,
+        },
+        DedupCase {
+            name: "repeat_of_conflict_winner_within_round",
+            rounds: &[&[
+                ("show old patients", Q_AGE, 5),
+                ("count patients", Q_COUNT, 0),
+                ("show old patients", Q_DISEASE, 0),
+                ("Show old patients", Q_DISEASE, 0),
+            ]],
+            want_sql: &[Q_DISEASE, Q_COUNT],
+            want_exact: 1,
+            want_conflicts: 1,
+        },
+        DedupCase {
+            name: "repeat_of_conflict_loser_within_round",
+            rounds: &[&[
+                ("show old patients", Q_AGE, 0),
+                ("show old patients", Q_DISEASE, 5),
+                ("count patients", Q_COUNT, 0),
+                ("show old patients", Q_DISEASE, 5),
+            ]],
+            // A repeat of a loser loses again: it is a conflict with
+            // the incumbent, not a repeat of it.
+            want_sql: &[Q_AGE, Q_COUNT],
+            want_exact: 0,
+            want_conflicts: 2,
+        },
+        DedupCase {
+            name: "repeat_of_displaced_incumbent_within_round",
+            rounds: &[&[
+                ("show old patients", Q_AGE, 5),
+                ("show old patients", Q_DISEASE, 0),
+                ("show old patients", Q_AGE, 5),
+            ]],
+            want_sql: &[Q_DISEASE],
+            want_exact: 0,
+            want_conflicts: 2,
+        },
+        DedupCase {
+            name: "repeats_within_a_later_round",
+            rounds: &[
+                &[("show old patients", Q_AGE, 0)],
+                &[
+                    ("show old patients", Q_AGE, 0),
+                    ("count patients", Q_COUNT, 0),
+                    ("count patients", Q_COUNT, 0),
+                    ("show old patients", Q_AGE, 0),
+                ],
+            ],
+            want_sql: &[Q_AGE, Q_COUNT],
+            want_exact: 3,
+            want_conflicts: 0,
+        },
+        DedupCase {
             name: "distinct_nl_same_sql_both_kept",
             rounds: &[&[
                 ("show old patients", Q_AGE, 0),
@@ -174,6 +255,35 @@ fn dedup_conflict_fixtures() {
             "{}: conflict drops",
             case.name
         );
+
+        // The index alone does the in-round pass's job: under either
+        // policy, admitting each raw round emits exactly what admitting
+        // the in-round-deduped round does, and drops the difference.
+        for policy in [DedupPolicy::Exact, DedupPolicy::ResolveConflicts] {
+            let mut raw_index = StreamDedup::new(policy);
+            let mut deduped_index = StreamDedup::new(policy);
+            for (r, round) in case.rounds.iter().enumerate() {
+                let raw: Vec<_> = round
+                    .iter()
+                    .map(|&(nl, sql, s)| scored(nl, sql, s))
+                    .collect();
+                let deduped = in_round_deduped(&raw);
+                let repeats = raw.len() - deduped.len();
+                let a = raw_index.admit_round(raw);
+                let b = deduped_index.admit_round(deduped);
+                assert_eq!(
+                    a.pairs, b.pairs,
+                    "{} {policy:?} round {r}: emitted pairs",
+                    case.name
+                );
+                assert_eq!(
+                    a.exact_dropped + a.conflicts_resolved,
+                    b.exact_dropped + b.conflicts_resolved + repeats,
+                    "{} {policy:?} round {r}: drops",
+                    case.name
+                );
+            }
+        }
     }
 }
 
@@ -192,38 +302,30 @@ fn exact_policy_never_resolves_conflicts() {
     assert_eq!(outcome.conflicts_resolved, 0);
 }
 
-/// The chunk-size/thread invariance property: for any rounds-per-chunk
-/// and any thread count, a streaming run emits byte-identical JSONL.
+/// The thread invariance property: at any thread count, a streaming
+/// run emits byte-identical JSONL.
 #[test]
-fn chunking_and_threads_never_change_emitted_bytes() {
+fn threads_never_change_emitted_bytes() {
     let schema = schema();
     forall!(cases = 8, |rng| {
         let seed = rng.next_u64();
-        let max_rounds = rng.gen_range(1usize..4);
+        let opts = StreamOptions {
+            max_rounds: rng.gen_range(1usize..4),
+            ..StreamOptions::corpus(0)
+        };
         let baseline = {
-            let opts = StreamOptions {
-                max_rounds,
-                rounds_per_chunk: 1,
-                ..StreamOptions::corpus(0)
-            };
-            let mut sink = DigestSink::new();
+            let mut sink = JsonlSink::new(std::io::sink());
             TrainingPipeline::new(tiny_config(seed))
                 .stream(&[&schema], &opts, &mut sink)
                 .expect("digest streaming cannot fail");
             (sink.digest(), sink.pairs())
         };
-        let rounds_per_chunk = rng.gen_range(1usize..6);
         let threads = rng.gen_range(1usize..5);
-        let opts = StreamOptions {
-            max_rounds,
-            rounds_per_chunk,
-            ..StreamOptions::corpus(0)
-        };
         let cfg = GenerationConfig {
             threads,
             ..tiny_config(seed)
         };
-        let mut sink = DigestSink::new();
+        let mut sink = JsonlSink::new(std::io::sink());
         let report = TrainingPipeline::new(cfg)
             .stream(&[&schema], &opts, &mut sink)
             .expect("digest streaming cannot fail");
@@ -233,8 +335,7 @@ fn chunking_and_threads_never_change_emitted_bytes() {
         assert_eq!(
             (sink.digest(), sink.pairs()),
             baseline,
-            "seed {seed:#x}: rounds_per_chunk {rounds_per_chunk} at {threads} threads \
-             diverged from the per-round single-thread stream"
+            "seed {seed:#x}: {threads} threads diverged from the single-thread stream"
         );
     });
 }

@@ -146,7 +146,6 @@ fn main() {
         workers: args.workers,
         queue_depth: args.queue_depth,
         cache_capacity: args.cache_capacity,
-        ..ServeConfig::default()
     };
     let service = match &args.tenants {
         Some(spec) => QueryService::with_tenants(registry_from_spec(spec), config),

@@ -35,7 +35,6 @@
 //! identical at any worker count. `serve_gate` in `scripts/verify.sh`
 //! enforces exactly that.
 
-mod cache;
 mod error;
 pub mod net;
 mod service;
@@ -43,7 +42,6 @@ mod shard;
 mod tenant;
 pub mod testing;
 
-pub use cache::LruCache;
 pub use error::ServeError;
 pub use service::{QueryService, ServeConfig, ServeResponse, DEFAULT_TENANT};
 pub use shard::ShardedCache;

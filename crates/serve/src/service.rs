@@ -17,8 +17,8 @@
 //! ```
 //!
 //! Pre-processing (anonymize + lemmatize), translation, and
-//! post-process/execute fan out over the configured [`ParStrategy`]
-//! (the persistent worker pool by default); the
+//! post-process/execute fan out over the process-wide persistent
+//! [`WorkerPool`]; the
 //! cache is only consulted and updated in the sequential phases, in
 //! batch order, with duplicate in-batch misses coalesced into one
 //! translation. Every counter — hits, misses, coalesced, sheds, errors
@@ -59,7 +59,7 @@ use dbpal_runtime::{Nlidb, NlidbResponse, PostProcessor, RuntimeError};
 use dbpal_sql::Query;
 use dbpal_util::intern::{Sym, Vocab};
 use dbpal_util::metrics::{Counter, Histogram, MetricsRegistry};
-use dbpal_util::{auto_threads, ParStrategy};
+use dbpal_util::{auto_threads, WorkerPool};
 
 thread_local! {
     /// Per-worker tokenization buffers for the pre-processing phase:
@@ -89,10 +89,6 @@ pub struct ServeConfig {
     /// Global capacity of the sharded translation cache, in entries,
     /// shared by all tenants.
     pub cache_capacity: usize,
-    /// How the parallel phases execute: the process-wide persistent
-    /// [`WorkerPool`](dbpal_util::WorkerPool) by default, a pinned pool,
-    /// or scoped spawn-per-call. Never affects counters or results.
-    pub par: ParStrategy,
 }
 
 impl Default for ServeConfig {
@@ -101,7 +97,6 @@ impl Default for ServeConfig {
             workers: 0,
             queue_depth: 64,
             cache_capacity: 256,
-            par: ParStrategy::default(),
         }
     }
 }
@@ -497,10 +492,9 @@ impl<M: TranslationModel + Send + Sync> QueryService<M> {
         // thread-local scratch. `None` marks an item whose tenant held
         // no usable guard.
         let vocab = Vocab::global();
-        let pre: Vec<Option<(dbpal_runtime::Anonymized, Vec<Sym>, String)>> = self
-            .config
-            .par
-            .map_indexed(&admitted, workers, |_, &(t, q)| {
+        let pool = WorkerPool::global();
+        let pre: Vec<Option<(dbpal_runtime::Anonymized, Vec<Sym>, String)>> =
+            pool.map_indexed(&admitted, workers, |_, &(t, q)| {
                 let nlidb = nlidbs[t]?;
                 let anonymized = m.anonymize.time(|| nlidb.anonymize(q));
                 let mut syms = Vec::new();
@@ -562,13 +556,11 @@ impl<M: TranslationModel + Send + Sync> QueryService<M> {
         // ids — no string reconstruction for models that override
         // `translate_syms`.
         let translated: Vec<Option<Query>> =
-            self.config
-                .par
-                .map_indexed(&pending, workers, |_, (t, _, syms)| {
-                    let nlidb = nlidbs[*t]?;
-                    m.translate
-                        .time(|| nlidb.model().translate_syms(syms, vocab))
-                });
+            pool.map_indexed(&pending, workers, |_, (t, _, syms)| {
+                let nlidb = nlidbs[*t]?;
+                m.translate
+                    .time(|| nlidb.model().translate_syms(syms, vocab))
+            });
 
         // Phase 4 (sequential): install successful translations in
         // first-miss order, each into its tenant's shard. Failures are
@@ -600,7 +592,7 @@ impl<M: TranslationModel + Send + Sync> QueryService<M> {
             })
             .collect();
         let finished: Vec<Result<ServeResponse, ServeError>> =
-            self.config.par.map_indexed(&jobs, workers, |_, job| {
+            pool.map_indexed(&jobs, workers, |_, job| {
                 let outcome = match job {
                     Some((t, anonymized, translation, hit)) => match nlidbs[*t] {
                         Some(nlidb) => self.finish(nlidb, anonymized, translation.as_ref(), *hit),

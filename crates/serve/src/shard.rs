@@ -1,14 +1,17 @@
 //! The sharded translation cache: one shard per tenant under a single
 //! global memory budget.
 //!
-//! Each shard is keyed exactly like [`LruCache`](crate::LruCache) — the
-//! anonymized + lemmatized token string of a question — but entries are
+//! Keys are the anonymized + lemmatized token string of a question
+//! (paper §4.1): constants are already replaced by placeholders before
+//! the key is formed, so "patients with age 80" and "patients with age
+//! 35" share one entry, and the cached SQL-with-placeholders re-binds to
+//! either question's constants in post-processing. Entries are
 //! namespaced by tenant, so two tenants asking the byte-identical
 //! question can never share (or even observe) each other's translation.
 //! Cross-tenant cache hits are impossible by construction, not by
 //! accounting.
 //!
-//! Recency and eviction generalize the single-tenant cache:
+//! Recency and eviction generalize a single LRU cache to all shards:
 //!
 //! * one **global logical tick** orders every access across all shards
 //!   (no wall clock — determinism survives any worker count);
@@ -17,11 +20,11 @@
 //!   *all* shards — so an idle tenant's cold entries yield their budget
 //!   to a hot tenant, instead of each tenant squatting on a fixed slice.
 //!
-//! With a single registered tenant the global scan degenerates to the
-//! plain [`LruCache`](crate::LruCache) scan over one map — the
-//! single-tenant fast path: identical victims, identical counters.
-//! Ticks are unique, so the minimum is unambiguous and eviction is
-//! independent of `HashMap` iteration order.
+//! With a single registered tenant the global scan is a plain LRU scan
+//! over one map — the single-tenant fast path. Ticks are unique, so the
+//! minimum is unambiguous and eviction is independent of `HashMap`
+//! iteration order. The scan is `O(capacity)`, the right trade at
+//! serving cache sizes (hundreds of entries).
 //!
 //! [`invalidate_tenant`](ShardedCache::invalidate_tenant) is the
 //! shard-scoped swap invalidation: it empties exactly one tenant's
@@ -149,7 +152,7 @@ impl<V> ShardedCache<V> {
         if self.len() >= self.capacity {
             // Global min-tick scan over all shards: the idle tenant's
             // coldest entry loses to whoever is hot right now. One
-            // registered tenant makes this the plain LruCache scan.
+            // registered tenant makes this a plain LRU scan.
             let victim = self
                 .shards
                 .iter()
@@ -235,24 +238,6 @@ mod tests {
         assert!(victims.iter().all(|(t, _)| t == "a"), "{victims:?}");
         assert_eq!(c.shard_len("a"), 0);
         assert_eq!(c.shard_len("b"), 4);
-    }
-
-    #[test]
-    fn single_tenant_matches_lru_cache_behavior() {
-        // The single-shard case must be byte-for-byte the LruCache
-        // story: same victims for the same access sequence.
-        let mut sharded = ShardedCache::new(2);
-        let mut flat = crate::LruCache::new(2);
-        sharded.insert("t", "a", 1);
-        flat.insert("a", 1);
-        sharded.insert("t", "b", 2);
-        flat.insert("b", 2);
-        assert_eq!(sharded.get("t", "a"), flat.get("a"));
-        assert_eq!(
-            sharded.insert("t", "c", 3),
-            flat.insert("c", 3).map(|k| ("t".to_string(), k))
-        );
-        assert_eq!(sharded.peek("t", "b"), flat.peek("b"));
     }
 
     #[test]

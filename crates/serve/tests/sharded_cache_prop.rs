@@ -9,8 +9,8 @@
 //! space must agree with the real cache on every return value
 //! (including which `(tenant, key)` each insert evicts), every shard
 //! length, the hit/miss tallies, the capacity bound, and the final
-//! contents. Mirrors `cache_prop.rs`, which pins the single-tenant
-//! [`LruCache`](dbpal_serve::LruCache) the shards generalize.
+//! contents. With one tenant the same model is a plain LRU cache, the
+//! single-tenant case the shards generalize.
 
 use dbpal_serve::ShardedCache;
 use dbpal_util::check::weighted_index;
@@ -201,36 +201,36 @@ fn sharded_cache_matches_the_flat_reference_model() {
 
 #[test]
 fn single_registered_tenant_degenerates_to_the_flat_lru() {
-    // With one tenant, the sharded cache must replay the plain
-    // LruCache exactly: same hits, same eviction victims, same final
-    // contents — the fast path `replace_database` and the existing
-    // single-tenant serve numbers rely on.
+    // With one tenant, the sharded cache must replay a plain LRU cache
+    // exactly: same hits, same eviction victims, same final contents —
+    // the fast path `replace_database` and the existing single-tenant
+    // serve numbers rely on.
     const KEYS: [&str; 5] = ["a", "b", "c", "d", "e"];
 
     forall!(cases = 128, |rng| {
         let capacity = rng.gen_range(1usize..=4);
         let mut sharded: ShardedCache<i64> = ShardedCache::new(capacity);
-        let mut flat: dbpal_serve::LruCache<i64> = dbpal_serve::LruCache::new(capacity);
+        let mut flat = RefModel::new(capacity);
         sharded.register_tenant("only");
 
         for _ in 0..rng.gen_range(0usize..=60) {
             let key = KEYS[rng.gen_range(0..KEYS.len())];
             match weighted_index(rng, &[1, 1]) {
                 0 => {
-                    assert_eq!(sharded.get("only", key).copied(), flat.get(key).copied());
+                    assert_eq!(sharded.get("only", key).copied(), flat.get("only", key));
                 }
                 _ => {
                     let value = rng.gen_range(0i64..100);
                     assert_eq!(
                         sharded.insert("only", key, value),
-                        flat.insert(key, value).map(|k| ("only".to_string(), k))
+                        flat.insert("only", key, value)
                     );
                 }
             }
         }
         assert_eq!(sharded.len(), flat.len());
         for key in KEYS {
-            assert_eq!(sharded.peek("only", key).copied(), flat.peek(key).copied());
+            assert_eq!(sharded.peek("only", key).copied(), flat.peek("only", key));
         }
     });
 }

@@ -102,8 +102,8 @@ gate_time "load_gate"
 # JSONL sink. Asserts the pair target (10k quick; DBPAL_CORPUS_PAIRS
 # overrides, 100k default for full runs), zero analyzer rejects, the
 # DBPAL_CORPUS_MEM_MB ceiling against the kernel's VmRSS, byte-identical
-# JSONL digests at 1 vs 8 threads and across chunk sizes, a JSONL
-# round-trip, and deterministic provenance-weighted splits. Merges the
+# JSONL digests at 1 vs 8 threads, a JSONL round-trip, and
+# deterministic provenance-weighted splits. Merges the
 # `corpus` section into BENCH_corpus.json, which the lint below
 # requires for the corpus group.
 DBPAL_BENCH_JSON="$PWD/BENCH_corpus.json" \
