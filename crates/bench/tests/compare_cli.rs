@@ -5,9 +5,12 @@
 //! that `verify.sh` depends on (argument parsing, pair chunking, env
 //! overrides, exit codes).
 
+mod common;
+
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use common::{stderr_of, Fixtures};
 
 /// Serialize a minimal bench report the schema lint would also accept.
 fn report(group: &str, rows: &[(&str, u64)]) -> String {
@@ -27,32 +30,6 @@ fn report(group: &str, rows: &[(&str, u64)]) -> String {
     out
 }
 
-/// Scratch directory for one test's fixture files.
-struct Fixtures {
-    dir: PathBuf,
-}
-
-impl Fixtures {
-    fn new(test: &str) -> Self {
-        let dir =
-            std::env::temp_dir().join(format!("dbpal_compare_cli_{test}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        Fixtures { dir }
-    }
-
-    fn write(&self, name: &str, contents: &str) -> String {
-        let path = self.dir.join(name);
-        std::fs::write(&path, contents).unwrap();
-        path.to_string_lossy().into_owned()
-    }
-}
-
-impl Drop for Fixtures {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
-}
-
 fn run_compare(args: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_bench_json_lint"));
     cmd.arg("--compare").args(args);
@@ -63,10 +40,6 @@ fn run_compare(args: &[&str], env: &[(&str, &str)]) -> Output {
         cmd.env(k, v);
     }
     cmd.output().unwrap()
-}
-
-fn stderr_of(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
 // The "runtime" group carries no parity pair, isolating band behavior.
