@@ -2,9 +2,9 @@
 //! batches, and worker-count scaling (`dbpal_util::bench` harness).
 //!
 //! Run with `cargo bench`; under `cargo test` each benchmark executes a
-//! single smoke iteration. `--json` (or `DBPAL_BENCH_JSON=<path>`)
-//! writes the machine-readable `BENCH_serve.json` that records the
-//! serving-perf trajectory (schema in DESIGN.md).
+//! single smoke iteration. `DBPAL_BENCH_JSON=<path>` writes the
+//! machine-readable `BENCH_serve.json` that records the serving-perf
+//! trajectory (schema in DESIGN.md).
 
 use dbpal_runtime::Nlidb;
 use dbpal_serve::testing::{hospital_db, hospital_script, ScriptedModel};

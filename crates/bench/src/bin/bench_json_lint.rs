@@ -7,24 +7,19 @@
 //! This is what makes the machine-readable perf trajectory trustworthy:
 //! a report that silently stopped parsing would otherwise rot unnoticed.
 //!
-//! The `serve` report additionally carries the load harness's `load`
-//! member (written by `load_gate` / `load_gen`); its schema — client
-//! and request counts, QPS, p50/p95/p99 latencies, error tallies, and
-//! the answer digest — is validated here too, and *required* for the
-//! `serve` group so a gate that silently stopped merging would fail CI.
-//! The `tenant` report likewise requires the `tenants` member written
-//! by `tenant_gate`: one entry per tenant with its queries, hits,
-//! misses, and sheds, each internally consistent.
-//! The `lint` report requires the `lints` member written by
-//! `lint_gate`: the rule catalog with per-rule finding counts, a
-//! violations array that must be empty (the gate fails otherwise, so a
-//! non-empty array here means a stale or hand-edited report), and the
-//! allowlist entry count.
-//! The `corpus` report requires the `corpus` member written by
-//! `corpus_gate`: streaming-run totals (pairs, rounds, throughput,
-//! dedup rate, JSONL digest, memory observations) with
-//! zero analyzer rejects — a committed corpus report that rejected
-//! pairs means the gate should have failed.
+//! Gate-written members are checked from one `(group, member, gate,
+//! validator)` table, `MEMBERS`: a member is validated wherever it
+//! appears, and *required* in its group's report, so a gate that
+//! silently stopped merging fails CI. The `serve` report carries the
+//! load harness's `load` member (client and request counts, QPS,
+//! p50/p95/p99 latencies, error tallies, the answer digest); the `lint`
+//! report the `lints` member (the rule catalog with per-rule finding
+//! counts, the allowlist entry count, and a violations array that must
+//! be empty — `lint_gate` fails otherwise, so a non-empty array means a
+//! stale or hand-edited report); the `corpus` report the `corpus`
+//! member (streaming-run totals, dedup rate, JSONL digest, memory
+//! observations, and zero analyzer rejects — a committed corpus report
+//! that rejected pairs means `corpus_gate` should have failed).
 //!
 //! A second mode, `--compare <BASE> <FRESH> [<BASE> <FRESH>...]`, diffs
 //! a fresh run against the committed baseline pair by pair: every
@@ -39,87 +34,76 @@
 use dbpal_bench::compare::{compare_reports, parity_from_env, tolerance_for_group};
 use dbpal_util::Json;
 
-/// Validate the `load` member written by the load harness.
-fn check_load(load: &Json) -> Result<(), String> {
-    for key in [
-        "clients",
-        "batch",
-        "warmup_requests",
-        "measured_requests",
-        "queries",
-        "qps",
-        "p50_ns",
-        "p95_ns",
-        "p99_ns",
-        "protocol_errors",
-        "answer_mismatches",
-        "sheds",
-    ] {
-        let v = load
+/// A validator for one gate-written report member.
+type Validator = fn(&Json) -> Result<(), String>;
+
+/// `(group, member, gate that writes it, validator)`.
+const MEMBERS: &[(&str, &str, &str, Validator)] = &[
+    ("serve", "load", "load_gate", check_load),
+    ("lint", "lints", "lint_gate", check_lints),
+    ("corpus", "corpus", "corpus_gate", check_corpus),
+];
+
+/// The values of `keys` in `obj`, each a required non-negative number.
+fn numbers<const N: usize>(ctx: &str, obj: &Json, keys: [&str; N]) -> Result<[f64; N], String> {
+    let mut values = [0.0; N];
+    for (value, key) in values.iter_mut().zip(keys) {
+        *value = obj
             .get(key)
             .and_then(Json::as_f64)
-            .ok_or(format!("load: missing number `{key}`"))?;
-        if v < 0.0 {
-            return Err(format!("load: negative `{key}`"));
+            .ok_or(format!("{ctx}: missing number `{key}`"))?;
+        if *value < 0.0 {
+            return Err(format!("{ctx}: negative `{key}`"));
         }
     }
-    let digest = load
-        .get("digest")
-        .and_then(Json::as_str)
-        .ok_or("load: missing string `digest`")?;
-    if digest.is_empty() {
-        return Err("load: empty `digest`".to_string());
-    }
-    Ok(())
+    Ok(values)
 }
 
-/// Validate the `tenants` member written by `tenant_gate`.
-fn check_tenants(tenants: &Json) -> Result<(), String> {
-    let rows = tenants.as_arr().ok_or("`tenants` is not an array")?;
-    if rows.is_empty() {
-        return Err("tenants: empty array".to_string());
-    }
-    for (i, row) in rows.iter().enumerate() {
-        let id = row
-            .get("tenant")
+/// Each of `keys` in `obj` must be a non-empty string.
+fn strings(ctx: &str, obj: &Json, keys: &[&str]) -> Result<(), String> {
+    for key in keys {
+        let s = obj
+            .get(key)
             .and_then(Json::as_str)
-            .ok_or(format!("tenants[{i}]: missing string `tenant`"))?;
-        if id.is_empty() {
-            return Err(format!("tenants[{i}]: empty `tenant`"));
-        }
-        let mut nums = [0.0f64; 4];
-        for (slot, key) in ["queries", "hits", "misses", "sheds"].iter().enumerate() {
-            let v = row
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("tenants[{i}]: missing number `{key}`"))?;
-            if v < 0.0 {
-                return Err(format!("tenants[{i}]: negative `{key}`"));
-            }
-            nums[slot] = v;
-        }
-        if nums[1] + nums[2] != nums[0] {
-            return Err(format!(
-                "tenants[{i}] (`{id}`): hits + misses != queries ({} + {} != {})",
-                nums[1], nums[2], nums[0]
-            ));
+            .ok_or(format!("{ctx}: missing string `{key}`"))?;
+        if s.is_empty() {
+            return Err(format!("{ctx}: empty `{key}`"));
         }
     }
     Ok(())
 }
 
-/// Validate the `lints` member written by `lint_gate`.
+/// The `load` member written by the load harness.
+fn check_load(load: &Json) -> Result<(), String> {
+    numbers(
+        "load",
+        load,
+        [
+            "clients",
+            "batch",
+            "warmup_requests",
+            "measured_requests",
+            "queries",
+            "qps",
+            "p50_ns",
+            "p95_ns",
+            "p99_ns",
+            "protocol_errors",
+            "answer_mismatches",
+            "sheds",
+        ],
+    )?;
+    strings("load", load, &["digest"])
+}
+
+/// The `lints` member written by `lint_gate`.
 fn check_lints(lints: &Json) -> Result<(), String> {
-    for key in ["schema_version", "files_scanned", "allowlist_entries"] {
-        let v = lints
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or(format!("lints: missing number `{key}`"))?;
-        if v < 0.0 {
-            return Err(format!("lints: negative `{key}`"));
-        }
-    }
-    if lints.get("files_scanned").and_then(Json::as_f64) == Some(0.0) {
+    let [_, files_scanned, _] = numbers(
+        "lints",
+        lints,
+        ["schema_version", "files_scanned", "allowlist_entries"],
+    )?;
+    if files_scanned == 0.0 {
         return Err("lints: scanned zero files".to_string());
     }
     let rules = lints
@@ -130,26 +114,12 @@ fn check_lints(lints: &Json) -> Result<(), String> {
         return Err("lints: empty rule catalog".to_string());
     }
     for (i, rule) in rules.iter().enumerate() {
-        for key in ["code", "name"] {
-            let s = rule
-                .get(key)
-                .and_then(Json::as_str)
-                .ok_or(format!("lints.rules[{i}]: missing string `{key}`"))?;
-            if s.is_empty() {
-                return Err(format!("lints.rules[{i}]: empty `{key}`"));
-            }
-        }
-        let findings = rule
-            .get("findings")
-            .and_then(Json::as_f64)
-            .ok_or(format!("lints.rules[{i}]: missing number `findings`"))?;
-        let allowed = rule
-            .get("allowlisted")
-            .and_then(Json::as_f64)
-            .ok_or(format!("lints.rules[{i}]: missing number `allowlisted`"))?;
-        if findings < 0.0 || allowed < 0.0 || allowed > findings {
+        let ctx = format!("lints.rules[{i}]");
+        strings(&ctx, rule, &["code", "name"])?;
+        let [findings, allowed] = numbers(&ctx, rule, ["findings", "allowlisted"])?;
+        if allowed > findings {
             return Err(format!(
-                "lints.rules[{i}]: inconsistent counts (findings {findings}, allowlisted {allowed})"
+                "{ctx}: inconsistent counts (findings {findings}, allowlisted {allowed})"
             ));
         }
     }
@@ -166,54 +136,38 @@ fn check_lints(lints: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Validate the `corpus` member written by `corpus_gate`.
+/// The `corpus` member written by `corpus_gate`.
 fn check_corpus(corpus: &Json) -> Result<(), String> {
-    for key in [
-        "pairs",
-        "target_pairs",
-        "rounds",
-        "schemas",
-        "threads",
-        "pairs_per_sec",
-        "bytes",
-        "exact_dropped",
-        "conflicts_resolved",
-        "estimated_peak_bytes",
-    ] {
-        let v = corpus
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or(format!("corpus: missing number `{key}`"))?;
-        if v < 0.0 {
-            return Err(format!("corpus: negative `{key}`"));
-        }
-    }
-    if corpus.get("pairs").and_then(Json::as_f64) == Some(0.0) {
+    let [pairs, .., dedup_rate, rejected] = numbers(
+        "corpus",
+        corpus,
+        [
+            "pairs",
+            "target_pairs",
+            "rounds",
+            "schemas",
+            "threads",
+            "pairs_per_sec",
+            "bytes",
+            "exact_dropped",
+            "conflicts_resolved",
+            "estimated_peak_bytes",
+            "dedup_rate",
+            "analyzer_rejected",
+        ],
+    )?;
+    if pairs == 0.0 {
         return Err("corpus: zero pairs emitted".to_string());
     }
-    let dedup_rate = corpus
-        .get("dedup_rate")
-        .and_then(Json::as_f64)
-        .ok_or("corpus: missing number `dedup_rate`")?;
-    if !(0.0..=1.0).contains(&dedup_rate) {
+    if dedup_rate > 1.0 {
         return Err(format!("corpus: dedup_rate {dedup_rate} outside [0, 1]"));
     }
-    let rejected = corpus
-        .get("analyzer_rejected")
-        .and_then(Json::as_f64)
-        .ok_or("corpus: missing number `analyzer_rejected`")?;
     if rejected != 0.0 {
         return Err(format!(
             "corpus: {rejected} analyzer rejects in a committed report — corpus_gate should have failed"
         ));
     }
-    let digest = corpus
-        .get("digest")
-        .and_then(Json::as_str)
-        .ok_or("corpus: missing string `digest`")?;
-    if digest.is_empty() {
-        return Err("corpus: empty `digest`".to_string());
-    }
+    strings("corpus", corpus, &["digest"])?;
     // The resident-set probe is platform-dependent, so the member is
     // optional — but when present it must be a plausible number.
     if let Some(rss) = corpus.get("peak_resident_bytes") {
@@ -240,52 +194,30 @@ fn check_report(doc: &Json) -> Result<(usize, String), String> {
         .and_then(Json::as_arr)
         .ok_or("missing array `benchmarks`")?;
     for (i, b) in benchmarks.iter().enumerate() {
-        b.get("name")
-            .and_then(Json::as_str)
-            .ok_or(format!("benchmarks[{i}]: missing string `name`"))?;
-        for key in [
-            "median_ns",
-            "min_ns",
-            "max_ns",
-            "iters_per_sample",
-            "samples",
-        ] {
-            let v = b
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("benchmarks[{i}]: missing number `{key}`"))?;
-            if v < 0.0 {
-                return Err(format!("benchmarks[{i}]: negative `{key}`"));
+        let ctx = format!("benchmarks[{i}]");
+        strings(&ctx, b, &["name"])?;
+        numbers(
+            &ctx,
+            b,
+            [
+                "median_ns",
+                "min_ns",
+                "max_ns",
+                "iters_per_sample",
+                "samples",
+            ],
+        )?;
+    }
+    for &(member_group, member, gate, validate) in MEMBERS {
+        match doc.get(member) {
+            Some(value) => validate(value)?,
+            None if group == member_group => {
+                return Err(format!(
+                    "group `{group}` requires a `{member}` member (run {gate})"
+                ))
             }
+            None => {}
         }
-    }
-    match doc.get("load") {
-        Some(load) => check_load(load)?,
-        None if group == "serve" => {
-            return Err("group `serve` requires a `load` member (run load_gate)".to_string())
-        }
-        None => {}
-    }
-    match doc.get("tenants") {
-        Some(tenants) => check_tenants(tenants)?,
-        None if group == "tenant" => {
-            return Err("group `tenant` requires a `tenants` member (run tenant_gate)".to_string())
-        }
-        None => {}
-    }
-    match doc.get("lints") {
-        Some(lints) => check_lints(lints)?,
-        None if group == "lint" => {
-            return Err("group `lint` requires a `lints` member (run lint_gate)".to_string())
-        }
-        None => {}
-    }
-    match doc.get("corpus") {
-        Some(corpus) => check_corpus(corpus)?,
-        None if group == "corpus" => {
-            return Err("group `corpus` requires a `corpus` member (run corpus_gate)".to_string())
-        }
-        None => {}
     }
     Ok((benchmarks.len(), group))
 }
@@ -377,23 +309,7 @@ fn main() {
     }
     let mut failed = false;
     for path in &paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("[bench_json_lint] FAIL {path}: unreadable: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        let doc = match Json::parse(&text) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("[bench_json_lint] FAIL {path}: does not parse: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        match check_report(&doc) {
+        match load(path).and_then(|doc| check_report(&doc)) {
             Ok((n, group)) => {
                 println!("[bench_json_lint] OK {path}: group `{group}`, {n} benchmarks");
             }

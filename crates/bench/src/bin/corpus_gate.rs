@@ -5,7 +5,7 @@
 //! 1. **scale under a ceiling** — the run reaches its pair target with
 //!    zero analyzer rejects, and the kernel-observed peak resident set
 //!    (or the sink-side estimate where procfs is absent) stays under
-//!    `DBPAL_CORPUS_MEM_MB`;
+//!    2048 MiB;
 //! 2. **thread invariance** — the JSONL digest at 8 worker threads is
 //!    byte-identical to the 1-thread file;
 //! 3. **round-trip** — the written JSONL re-parses into exactly the
@@ -19,8 +19,9 @@
 //! the bench report (`BENCH_corpus.json` or `DBPAL_BENCH_JSON`) as the
 //! `corpus` member, which `bench_json_lint` requires for this group.
 
-use std::path::PathBuf;
+use std::num::NonZeroUsize;
 
+use dbpal_bench::Gate;
 use dbpal_benchsuite::SchemaGenerator;
 use dbpal_core::{
     corpus_from_jsonl, GenerationConfig, JsonlSink, SplitSink, StreamOptions, StreamReport,
@@ -32,16 +33,8 @@ use dbpal_util::Json;
 const GATE_SEED: u64 = 0xC0_4B05;
 const QUICK_PAIRS: usize = 10_000;
 const FULL_PAIRS: usize = 100_000;
-const DEFAULT_MEM_MB: u64 = 2048;
-
-fn check(label: &str, ok: bool, detail: String, failed: &mut bool) {
-    if ok {
-        println!("[corpus_gate] PASS {label}: {detail}");
-    } else {
-        eprintln!("[corpus_gate] FAIL {label}: {detail}");
-        *failed = true;
-    }
-}
+/// Peak resident set allowed for either profile, in MiB.
+const MEM_CEILING_MB: u64 = 2048;
 
 fn hospital_schema() -> Schema {
     SchemaBuilder::new("hospital")
@@ -76,33 +69,17 @@ fn gate_schemas() -> Vec<Schema> {
     schemas
 }
 
-fn env_usize(var: &str, default: usize) -> usize {
-    match std::env::var(var) {
-        Err(_) => default,
-        Ok(raw) => match raw.trim().parse() {
-            Ok(v) if v > 0 => v,
-            _ => {
-                eprintln!("[corpus_gate] FAIL: {var}=`{raw}` is not a positive integer");
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
 /// One streaming run; any stream error is fatal for the gate.
 fn run(
+    gate: &Gate,
     config: &GenerationConfig,
     schemas: &[&Schema],
     opts: &StreamOptions,
     sink: &mut dyn dbpal_core::CorpusSink,
 ) -> StreamReport {
-    match TrainingPipeline::new(config.clone()).stream(schemas, opts, sink) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("[corpus_gate] FAIL: streaming run errored: {e}");
-            std::process::exit(1);
-        }
-    }
+    TrainingPipeline::new(config.clone())
+        .stream(schemas, opts, sink)
+        .unwrap_or_else(|e| gate.abort(format!("streaming run errored: {e}")))
 }
 
 /// The `corpus` member of the bench report.
@@ -141,18 +118,12 @@ fn corpus_json(report: &StreamReport, digest: u64, pairs_per_sec: f64) -> Json {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    if args.iter().any(|a| a != "--quick") {
-        eprintln!("usage: corpus_gate [--quick]");
-        std::process::exit(2);
-    }
-    let target = env_usize(
-        "DBPAL_CORPUS_PAIRS",
-        if quick { QUICK_PAIRS } else { FULL_PAIRS },
-    );
-    let mem_mb = env_usize("DBPAL_CORPUS_MEM_MB", DEFAULT_MEM_MB as usize) as u64;
-    let ceiling_bytes = mem_mb * 1024 * 1024;
+    let mut gate = Gate::from_args("corpus_gate");
+    let quick = gate.quick();
+    let default_target = NonZeroUsize::new(if quick { QUICK_PAIRS } else { FULL_PAIRS })
+        .expect("the pair targets are positive");
+    let target = gate.env("DBPAL_CORPUS_PAIRS", default_target).get();
+    let ceiling_bytes = MEM_CEILING_MB * 1024 * 1024;
 
     // Quick runs use the small generation config (more rounds, less
     // work per round); the full run uses the paper-sized default.
@@ -168,65 +139,53 @@ fn main() {
     let schemas = gate_schemas();
     let schema_refs: Vec<&Schema> = schemas.iter().collect();
     println!(
-        "[corpus_gate] seed {GATE_SEED:#x}, target {target} pairs over {} schemas, ceiling {mem_mb} MiB{}",
+        "[corpus_gate] seed {GATE_SEED:#x}, target {target} pairs over {} schemas, ceiling {MEM_CEILING_MB} MiB{}",
         schemas.len(),
         if quick { " (quick)" } else { "" }
     );
-    let mut failed = false;
 
     // Run 1: single-threaded, writing the real file.
     let jsonl_path = std::env::temp_dir().join(format!("dbpal_corpus_{GATE_SEED:x}.jsonl"));
-    let file = match std::fs::File::create(&jsonl_path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!(
-                "[corpus_gate] FAIL: cannot create {}: {e}",
-                jsonl_path.display()
-            );
-            std::process::exit(1);
-        }
-    };
+    let file = std::fs::File::create(&jsonl_path)
+        .unwrap_or_else(|e| gate.abort(format!("cannot create {}: {e}", jsonl_path.display())));
     let opts = StreamOptions::corpus(target);
     let config_one = GenerationConfig {
         threads: 1,
         ..config.clone()
     };
     let mut file_sink = JsonlSink::new(std::io::BufWriter::new(file));
-    let report = run(&config_one, &schema_refs, &opts, &mut file_sink);
+    let report = run(&gate, &config_one, &schema_refs, &opts, &mut file_sink);
     let digest = file_sink.digest();
     let file_pairs = file_sink.pairs();
     drop(file_sink);
     println!("{}", report.render());
 
-    check(
+    gate.check(
         "report_consistency",
         report.check_consistency().is_ok(),
         report
             .check_consistency()
             .err()
             .unwrap_or_else(|| "all round/run invariants hold".into()),
-        &mut failed,
     );
-    check(
+    gate.check(
         "target_reached",
         report.target_reached && report.emitted >= target,
         format!("{} pairs emitted (target {target})", report.emitted),
-        &mut failed,
     );
-    check(
+    gate.check(
         "analyzer_clean",
         report.analyzer_rejected == 0,
         format!("{} analyzer rejects", report.analyzer_rejected),
-        &mut failed,
     );
     let observed = report
         .peak_resident_bytes
         .unwrap_or(report.estimated_peak_bytes);
-    check(
+    gate.check(
         "memory_ceiling",
         observed <= ceiling_bytes,
         format!(
-            "peak {:.1} MiB {} vs ceiling {mem_mb} MiB",
+            "peak {:.1} MiB {} vs ceiling {MEM_CEILING_MB} MiB",
             observed as f64 / (1 << 20) as f64,
             if report.peak_resident_bytes.is_some() {
                 "(kernel VmRSS)"
@@ -234,7 +193,6 @@ fn main() {
                 "(sink estimate)"
             }
         ),
-        &mut failed,
     );
 
     // Run 2: 8 worker threads, digesting without writing — the digest
@@ -244,8 +202,8 @@ fn main() {
         ..config.clone()
     };
     let mut eight = JsonlSink::new(std::io::sink());
-    let report_eight = run(&config_eight, &schema_refs, &opts, &mut eight);
-    check(
+    let report_eight = run(&gate, &config_eight, &schema_refs, &opts, &mut eight);
+    gate.check(
         "thread_invariance",
         eight.digest() == digest && report_eight.emitted == report.emitted,
         format!(
@@ -254,7 +212,6 @@ fn main() {
             report_eight.emitted,
             report.emitted
         ),
-        &mut failed,
     );
 
     // Round-trip the written file through the JSONL reader.
@@ -262,7 +219,7 @@ fn main() {
         .map_err(|e| e.to_string())
         .and_then(|text| corpus_from_jsonl(&text).map_err(|e| e.to_string()));
     match &reread {
-        Ok(corpus) => check(
+        Ok(corpus) => gate.check(
             "jsonl_round_trip",
             corpus.len() == report.emitted && file_pairs == report.emitted,
             format!(
@@ -271,9 +228,8 @@ fn main() {
                 report.emitted,
                 jsonl_path.display()
             ),
-            &mut failed,
         ),
-        Err(e) => check("jsonl_round_trip", false, e.clone(), &mut failed),
+        Err(e) => gate.check("jsonl_round_trip", false, e),
     }
 
     // Split sanity: route the re-parsed corpus through the
@@ -286,14 +242,13 @@ fn main() {
             let mut test = JsonlSink::new(std::io::sink());
             let mut split = SplitSink::new(&mut train, &mut test, 0.1);
             for pair in corpus.pairs() {
-                if dbpal_core::CorpusSink::accept(&mut split, pair.clone()).is_err() {
-                    eprintln!("[corpus_gate] FAIL: split sink errored");
-                    std::process::exit(1);
+                if let Err(e) = dbpal_core::CorpusSink::accept(&mut split, pair.clone()) {
+                    gate.abort(format!("split sink errored: {e}"));
                 }
             }
             *count = split.test_pairs();
             if pass == 0 {
-                check(
+                gate.check(
                     "split_covers_all",
                     split.train_pairs() + split.test_pairs() == corpus.len()
                         && split.test_pairs() > 0
@@ -304,15 +259,13 @@ fn main() {
                         split.test_pairs(),
                         corpus.len()
                     ),
-                    &mut failed,
                 );
             }
         }
-        check(
+        gate.check(
             "split_deterministic",
             counts[0] == counts[1],
             format!("test-side counts {} vs {}", counts[0], counts[1]),
-            &mut failed,
         );
     }
     let _ = std::fs::remove_file(&jsonl_path);
@@ -331,27 +284,10 @@ fn main() {
         report.rounds.len()
     );
 
-    let path = PathBuf::from(
-        std::env::var("DBPAL_BENCH_JSON").unwrap_or_else(|_| "BENCH_corpus.json".into()),
+    gate.publish(
+        "corpus",
+        "corpus",
+        corpus_json(&report, digest, pairs_per_sec),
     );
-    let corpus = corpus_json(&report, digest, pairs_per_sec);
-    match dbpal_bench::merge_report_member(&path, "corpus", "corpus", corpus) {
-        Ok(()) => println!(
-            "[corpus_gate] merged `corpus` section into {}",
-            path.display()
-        ),
-        Err(e) => {
-            eprintln!(
-                "[corpus_gate] FAIL: could not write {}: {e}",
-                path.display()
-            );
-            failed = true;
-        }
-    }
-
-    if failed {
-        eprintln!("[corpus_gate] FAIL");
-        std::process::exit(1);
-    }
-    println!("[corpus_gate] all streaming-corpus checks passed");
+    gate.finish();
 }

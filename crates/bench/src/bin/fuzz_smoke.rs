@@ -8,27 +8,31 @@
 //! divergence between the two reports, is a red build.
 //!
 //! Budget and seed come from `DBPAL_FUZZ_ITERS` / `DBPAL_FUZZ_SEED`
-//! (defaults: 200 iterations, seed `0xDBA1`). Throughput is reported
-//! through the shared bench harness.
+//! (decimal; defaults: 200 iterations, seed `0xDBA1`). A value that does
+//! not parse exits 2 before any fuzzing. Throughput is reported through
+//! the shared bench harness.
 
+use dbpal_bench::Gate;
 use dbpal_fuzz::{run_fuzz, FuzzConfig, FuzzReport};
 use dbpal_util::bench::{Config, Harness};
 
+const DEFAULT_SEED: u64 = 0xDBA1;
+const DEFAULT_ITERS: usize = 200;
+
 fn main() {
-    let base = FuzzConfig::from_env();
+    let mut gate = Gate::from_args("fuzz_smoke");
+    let seed = gate.env("DBPAL_FUZZ_SEED", DEFAULT_SEED);
+    let iters = gate.env("DBPAL_FUZZ_ITERS", DEFAULT_ITERS);
     println!(
-        "[fuzz_smoke] seed {:#x}, {} iterations, oracles: roundtrip + canonical + analyzer",
-        base.seed, base.iters
+        "[fuzz_smoke] seed {seed:#x}, {iters} iterations, oracles: roundtrip + canonical + analyzer"
     );
 
     let mut harness = Harness::with_config("fuzz_smoke", Config::quick());
     let mut reports: Vec<FuzzReport> = Vec::new();
     for threads in [1usize, 8] {
-        let cfg = FuzzConfig::new(base.seed, base.iters, threads);
-        let name = format!("fuzz_{}_iters_{}_threads", cfg.iters, threads);
-        harness.bench(&name, || {
-            let report = run_fuzz(&cfg);
-            reports.push(report);
+        let cfg = FuzzConfig::new(seed, iters, threads);
+        harness.bench(&format!("fuzz_{iters}_iters_{threads}_threads"), || {
+            reports.push(run_fuzz(&cfg));
         });
     }
 
@@ -37,41 +41,44 @@ fn main() {
     for m in harness.results() {
         let secs = m.median.as_secs_f64();
         let rate = if secs > 0.0 {
-            base.iters as f64 / secs
+            iters as f64 / secs
         } else {
             f64::INFINITY
         };
         println!("[fuzz_smoke] {}: {rate:.0} iterations/sec", m.name);
     }
+    harness.finish();
 
-    let mut failed = false;
-    for report in &reports {
-        for f in &report.findings {
-            failed = true;
-            eprintln!(
-                "[fuzz_smoke] FINDING iter {} [{}]\n  sql: {}\n  minimized: {}\n  {}\n  corpus case:\n{}",
-                f.iteration, f.oracle, f.sql, f.minimized, f.detail,
-                f.case.to_json()
-            );
-        }
-    }
-    let (one, eight) = (&reports[0], &reports[1]);
-    if one.to_json() != eight.to_json() {
-        failed = true;
+    for f in reports.iter().flat_map(|r| &r.findings) {
         eprintln!(
-            "[fuzz_smoke] FAIL: reports diverge between 1 and 8 worker threads\n-- 1 thread --\n{}\n-- 8 threads --\n{}",
-            one.to_json(),
-            eight.to_json()
+            "[fuzz_smoke] FINDING iter {} [{}]\n  sql: {}\n  minimized: {}\n  {}\n  corpus case:\n{}",
+            f.iteration,
+            f.oracle,
+            f.sql,
+            f.minimized,
+            f.detail,
+            f.case.to_json()
         );
     }
-
-    harness.finish();
-    if failed {
-        eprintln!("[fuzz_smoke] FAIL");
-        std::process::exit(1);
-    }
-    println!(
-        "[fuzz_smoke] OK: {} iterations clean, reports byte-identical at 1 and 8 threads",
-        base.iters
+    let (one, eight) = (&reports[0], &reports[1]);
+    gate.check(
+        "clean",
+        one.findings.is_empty() && eight.findings.is_empty(),
+        format!(
+            "{} + {} findings over {iters} iterations at 1 and 8 threads",
+            one.findings.len(),
+            eight.findings.len()
+        ),
     );
+    let (json_one, json_eight) = (one.to_json(), eight.to_json());
+    gate.check(
+        "determinism",
+        json_one == json_eight,
+        if json_one == json_eight {
+            "reports byte-identical at 1 and 8 threads".to_string()
+        } else {
+            format!("-- 1 thread --\n{json_one}\n-- 8 threads --\n{json_eight}")
+        },
+    );
+    gate.finish();
 }

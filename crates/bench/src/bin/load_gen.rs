@@ -3,22 +3,20 @@
 //! merged into `BENCH_serve.json`.
 //!
 //! ```text
-//! load_gen [--quick] [--addr HOST:PORT] [--json PATH] [--no-merge]
+//! load_gen [--quick] [--addr HOST:PORT] [--no-merge]
 //! ```
 //!
 //! With no `--addr`, an in-process hospital-fixture server is started
-//! and drained around the run. `DBPAL_LOAD_*` environment variables
-//! override the profile (see `LoadConfig::from_env`); the merge target
-//! defaults to `$DBPAL_BENCH_JSON`, then `BENCH_serve.json`.
+//! and drained around the run. The merge target is `$DBPAL_BENCH_JSON`,
+//! then `BENCH_serve.json`.
 
 use std::net::SocketAddr;
-use std::path::PathBuf;
 
 use dbpal_bench::loadgen::{run_against_fixture, run_load, LoadConfig, LoadReport};
-use dbpal_bench::render_table;
+use dbpal_bench::{render_table, Gate};
 
 fn usage() -> ! {
-    eprintln!("usage: load_gen [--quick] [--addr HOST:PORT] [--json PATH] [--no-merge]");
+    eprintln!("usage: load_gen [--quick] [--addr HOST:PORT] [--no-merge]");
     std::process::exit(2);
 }
 
@@ -44,9 +42,9 @@ fn report_table(r: &LoadReport) -> String {
 }
 
 fn main() {
+    let mut gate = Gate::new("load_gen");
     let mut quick = false;
     let mut addr: Option<SocketAddr> = None;
-    let mut json: Option<PathBuf> = None;
     let mut merge = true;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -59,7 +57,6 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--json" => json = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             "--no-merge" => merge = false,
             _ => usage(),
         }
@@ -68,40 +65,28 @@ fn main() {
         LoadConfig::quick()
     } else {
         LoadConfig::full()
-    }
-    .from_env();
+    };
 
     let report = match addr {
         Some(addr) => {
             println!("[load_gen] targeting external server at {addr}");
             run_load(addr, &cfg)
         }
-        None => run_against_fixture(&cfg).unwrap_or_else(|e| {
-            eprintln!("[load_gen] could not start fixture server: {e}");
-            std::process::exit(1);
-        }),
+        None => run_against_fixture(&cfg)
+            .unwrap_or_else(|e| gate.abort(format!("could not start fixture server: {e}"))),
     };
     print!("{}", report_table(&report));
 
     if merge {
-        let path = json.unwrap_or_else(|| {
-            PathBuf::from(
-                std::env::var("DBPAL_BENCH_JSON").unwrap_or_else(|_| "BENCH_serve.json".into()),
-            )
-        });
-        match dbpal_bench::merge_report_member(&path, "serve", "load", report.to_json()) {
-            Ok(()) => println!("[load_gen] merged `load` section into {}", path.display()),
-            Err(e) => {
-                eprintln!("[load_gen] could not write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        gate.publish("serve", "load", report.to_json());
     }
-    if report.protocol_errors + report.answer_mismatches > 0 {
-        eprintln!(
-            "[load_gen] FAIL: {} protocol errors, {} answer mismatches",
+    gate.check(
+        "answers",
+        report.protocol_errors + report.answer_mismatches == 0,
+        format!(
+            "{} protocol errors, {} answer mismatches",
             report.protocol_errors, report.answer_mismatches
-        );
-        std::process::exit(1);
-    }
+        ),
+    );
+    gate.finish();
 }

@@ -45,12 +45,6 @@ pub const PARITY_PAIRS: &[(&str, &str, &str)] = &[
     ),
 ];
 
-/// `DBPAL_BENCH_TOLERANCE`, or [`DEFAULT_TOLERANCE`]. Values ≤ 1 are
-/// rejected (the band must contain the baseline itself).
-pub fn tolerance_from_env() -> Result<f64, String> {
-    band_from_env("DBPAL_BENCH_TOLERANCE", DEFAULT_TOLERANCE)
-}
-
 /// `DBPAL_BENCH_PARITY`, or [`DEFAULT_PARITY`]. Values ≤ 1 rejected.
 pub fn parity_from_env() -> Result<f64, String> {
     band_from_env("DBPAL_BENCH_PARITY", DEFAULT_PARITY)

@@ -1,11 +1,15 @@
-//! Shared output formatting for the experiment binaries.
+//! Shared output formatting for the experiment binaries, and the
+//! [`Gate`] harness the CI gate binaries run under.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
 //! paper; see DESIGN.md's experiment index and EXPERIMENTS.md for the
 //! paper-vs-measured record.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::io;
 use std::path::Path;
+use std::process::exit;
+use std::str::FromStr;
 
 use dbpal_util::Json;
 
@@ -14,28 +18,130 @@ pub mod loadgen;
 
 /// Insert (or replace) the `member` of the bench report at `path`,
 /// keeping every other member — the harness-written `group` and
-/// `benchmarks` included. A missing or unparseable file becomes a
-/// minimal report for `group` with no benchmarks. This is how the
-/// gates (`corpus`, `tenants`, `load`, `lints`) publish their sections.
-pub fn merge_report_member(
-    path: &Path,
-    group: &str,
-    member: &str,
-    value: Json,
-) -> std::io::Result<()> {
-    let doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok());
-    let mut members = match doc {
-        Some(Json::Obj(members)) => members,
-        _ => vec![
+/// `benchmarks` included. A missing file becomes a minimal report for
+/// `group` with no benchmarks. Any other read error, a file that does
+/// not parse, or one that is not a JSON object fails with
+/// [`io::ErrorKind::InvalidData`] and leaves the file as it was:
+/// replacing it would silently drop every benchmark row.
+pub fn merge_report_member(path: &Path, group: &str, member: &str, value: Json) -> io::Result<()> {
+    let invalid = |why: String| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: {why}", path.display()),
+        )
+    };
+    let mut members = match std::fs::read_to_string(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => vec![
             ("group".into(), Json::str(group)),
             ("benchmarks".into(), Json::Arr(vec![])),
         ],
+        Err(e) => return Err(invalid(format!("unreadable: {e}"))),
+        Ok(text) => match Json::parse(&text) {
+            Ok(Json::Obj(members)) => members,
+            Ok(_) => return Err(invalid("not a JSON object".into())),
+            Err(e) => return Err(invalid(format!("does not parse: {e}"))),
+        },
     };
     members.retain(|(k, _)| k != member);
     members.push((member.into(), value));
     std::fs::write(path, Json::Obj(members).pretty() + "\n")
+}
+
+/// The harness every CI gate binary runs under: `--quick`-only argument
+/// parsing, strict env knobs, `PASS`/`FAIL` lines, report publishing,
+/// and the exit status (0 pass, 1 a failed check, 2 a usage error).
+pub struct Gate {
+    name: &'static str,
+    quick: bool,
+    failed: bool,
+}
+
+impl Gate {
+    /// Start the gate `name` from this process's command line, whose
+    /// only argument is `--quick`: anything else prints a usage line
+    /// and exits 2.
+    pub fn from_args(name: &'static str) -> Self {
+        let mut gate = Gate::new(name);
+        for arg in std::env::args().skip(1) {
+            if arg != "--quick" {
+                eprintln!("[{name}] unknown argument `{arg}`\nusage: {name} [--quick]");
+                exit(2);
+            }
+            gate.quick = true;
+        }
+        gate
+    }
+
+    /// Start `name` for a binary that parses its own command line.
+    pub fn new(name: &'static str) -> Self {
+        Gate {
+            name,
+            quick: false,
+            failed: false,
+        }
+    }
+
+    /// Whether `--quick` selected the reduced CI profile.
+    pub fn quick(&self) -> bool {
+        self.quick
+    }
+
+    /// The env knob `var` parsed as `T`, or `default` when unset. A set
+    /// value that does not parse exits 2 before any work is done: a
+    /// typo must never fall back to the default silently.
+    pub fn env<T: FromStr>(&self, var: &str, default: T) -> T
+    where
+        T::Err: Display,
+    {
+        let Some(raw) = std::env::var_os(var) else {
+            return default;
+        };
+        let raw = raw.to_string_lossy();
+        raw.trim().parse().unwrap_or_else(|e| {
+            eprintln!("[{}] FAIL {var}=`{raw}`: {e}", self.name);
+            exit(2)
+        })
+    }
+
+    /// Record one named check as a `PASS` or `FAIL` line.
+    pub fn check(&mut self, label: &str, ok: bool, detail: impl Display) {
+        if ok {
+            println!("[{}] PASS {label}: {detail}", self.name);
+        } else {
+            eprintln!("[{}] FAIL {label}: {detail}", self.name);
+            self.failed = true;
+        }
+    }
+
+    /// Stop on an error that leaves nothing to check: exit 1.
+    pub fn abort(&self, detail: impl Display) -> ! {
+        eprintln!("[{}] FAIL {detail}", self.name);
+        exit(1)
+    }
+
+    /// Merge `value` as the `member` of the `group` bench report at
+    /// `$DBPAL_BENCH_JSON`, or `BENCH_<group>.json` in the working
+    /// directory. A failed write is a failed check.
+    pub fn publish(&mut self, group: &str, member: &str, value: Json) {
+        let path =
+            std::env::var("DBPAL_BENCH_JSON").unwrap_or_else(|_| format!("BENCH_{group}.json"));
+        let written = merge_report_member(Path::new(&path), group, member, value);
+        let detail = match &written {
+            Ok(()) => format!("merged `{member}` into {path}"),
+            Err(e) => format!("could not write {path}: {e}"),
+        };
+        self.check("report", written.is_ok(), detail);
+    }
+
+    /// Exit 1 if any check failed, 0 otherwise.
+    pub fn finish(self) -> ! {
+        if self.failed {
+            eprintln!("[{}] FAIL", self.name);
+            exit(1);
+        }
+        println!("[{}] OK", self.name);
+        exit(0)
+    }
 }
 
 /// Render an aligned text table: a header row plus data rows.
@@ -156,6 +262,22 @@ mod tests {
             0
         );
         assert!(doc.get("lints").is_some());
+
+        // A report that does not parse, or is not an object, is an
+        // error and stays byte-for-byte as it was.
+        for (name, text) in [
+            (
+                "BENCH_truncated.json",
+                r#"{"group":"serve","benchmarks":[{"name""#,
+            ),
+            ("BENCH_array.json", "[1, 2, 3]\n"),
+        ] {
+            let bad = dir.join(name);
+            std::fs::write(&bad, text).unwrap();
+            let err = merge_report_member(&bad, "serve", "load", report.to_json()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
+            assert_eq!(std::fs::read_to_string(&bad).unwrap(), text, "{name}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -31,9 +31,8 @@ use dbpal_util::{Json, Rng};
 /// Default seed for the request mix.
 pub const DEFAULT_SEED: u64 = 0x10AD;
 
-/// Load-harness knobs. Environment variables override every field (see
-/// [`LoadConfig::from_env`]), so CI can shrink or grow a profile without
-/// a rebuild.
+/// Load-harness knobs: [`LoadConfig::quick`] for the CI gate,
+/// [`LoadConfig::full`] for `load_gen`.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
     /// Concurrent closed-loop client connections.
@@ -70,32 +69,6 @@ impl LoadConfig {
             seed: DEFAULT_SEED,
         }
     }
-
-    /// Apply `DBPAL_LOAD_CLIENTS`, `DBPAL_LOAD_WARMUP`,
-    /// `DBPAL_LOAD_REQUESTS`, `DBPAL_LOAD_BATCH`, and `DBPAL_LOAD_SEED`
-    /// on top of this profile.
-    pub fn from_env(mut self) -> Self {
-        if let Some(v) = env_u64("DBPAL_LOAD_CLIENTS") {
-            self.clients = (v as usize).max(1);
-        }
-        if let Some(v) = env_u64("DBPAL_LOAD_WARMUP") {
-            self.warmup_per_client = v as usize;
-        }
-        if let Some(v) = env_u64("DBPAL_LOAD_REQUESTS") {
-            self.measured_per_client = (v as usize).max(1);
-        }
-        if let Some(v) = env_u64("DBPAL_LOAD_BATCH") {
-            self.batch = (v as usize).max(1);
-        }
-        if let Some(v) = env_u64("DBPAL_LOAD_SEED") {
-            self.seed = v;
-        }
-        self
-    }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// What one load run produced.

@@ -60,7 +60,8 @@ fn valid_report_for_each_group_passes() {
 
 #[test]
 fn each_broken_rule_fails_with_its_diagnostic() {
-    // (case, group, valid report text → broken text, expected stderr).
+    // (case, report text, expected stderr): each breaks one rule of a
+    // valid report.
     let serve = report("serve", Some(("load", LOAD)));
     let lints = report("lint", Some(("lints", LINTS)));
     let corpus = report("corpus", Some(("corpus", CORPUS)));
@@ -151,7 +152,7 @@ fn each_broken_rule_fails_with_its_diagnostic() {
     let fx = Fixtures::new("schema_broken");
     for (case, text, expect) in cases {
         let path = fx.write(&format!("{case}.json"), &text);
-        let out = lint(&[path.clone()]);
+        let out = lint(std::slice::from_ref(&path));
         let err = stderr_of(&out);
         assert_eq!(out.status.code(), Some(1), "{case}: stderr: {err}");
         assert!(

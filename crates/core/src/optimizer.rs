@@ -64,7 +64,8 @@ impl RandomSearch {
         let configs: Vec<GenerationConfig> = (0..self.trials)
             .map(|_| GenerationConfig::sample(&mut rng))
             .collect();
-        let accuracies = dbpal_util::pooled_map_indexed(&configs, threads, |_, c| generate(c));
+        let accuracies =
+            dbpal_util::WorkerPool::global().map_indexed(&configs, threads, |_, c| generate(c));
         configs
             .into_iter()
             .zip(accuracies)

@@ -7,19 +7,36 @@ use dbpal_core::{AnalyzerPolicy, GenerationConfig, TrainingPipeline};
 use dbpal_schema::{Schema, SchemaBuilder, SemanticDomain, SqlType};
 use dbpal_util::{forall, Rng};
 
-fn hospital() -> Schema {
+/// The reference hospital schema; `with_stay` adds a `length_of_stay`
+/// duration column and a `doctors.id` primary key, as in the schema
+/// cycle `corpus_gate` streams over.
+fn hospital(with_stay: bool) -> Schema {
     SchemaBuilder::new("hospital")
         .table("patients", |t| {
-            t.synonym("people")
+            let t = t
+                .synonym("people")
                 .column("name", SqlType::Text)
                 .column_with("age", SqlType::Integer, |c| c.domain(SemanticDomain::Age))
-                .column_with("disease", SqlType::Text, |c| c.synonym("illness"))
-                .column("doctor_id", SqlType::Integer)
+                .column_with("disease", SqlType::Text, |c| c.synonym("illness"));
+            let t = if with_stay {
+                t.column_with("length_of_stay", SqlType::Integer, |c| {
+                    c.domain(SemanticDomain::Duration)
+                })
+            } else {
+                t
+            };
+            t.column("doctor_id", SqlType::Integer)
         })
         .table("doctors", |t| {
-            t.column("id", SqlType::Integer)
+            let t = t
+                .column("id", SqlType::Integer)
                 .column("name", SqlType::Text)
-                .column("specialty", SqlType::Text)
+                .column("specialty", SqlType::Text);
+            if with_stay {
+                t.primary_key("id")
+            } else {
+                t
+            }
         })
         .foreign_key("patients", "doctor_id", "doctors", "id")
         .build()
@@ -147,17 +164,27 @@ fn tiny_schema_slot_exhaustion_never_panics_or_leaks() {
     assert_eq!(report.analyzer.rejected, 0, "{}", report.render());
 }
 
-/// The full default configuration on the reference schema analyzes 100%
-/// clean at `Reject` with zero dropped pairs (acceptance criterion).
+/// The reference configurations analyze 100% clean at `Reject` with
+/// zero dropped pairs and a consistent report (acceptance criterion):
+/// the full default on the reference schema, and `small()` on its
+/// `length_of_stay` variant.
 #[test]
 fn default_config_hospital_generation_is_clean() {
-    let (corpus, report) =
-        TrainingPipeline::new(GenerationConfig::default()).generate_with_report(&hospital());
-    assert_eq!(
-        report.analyzer.analyzed,
-        report.seed_pairs + report.augmented_pairs
-    );
-    assert_eq!(report.final_pairs, corpus.len());
-    assert_eq!(report.analyzer.flagged, 0, "{}", report.render());
-    assert_eq!(report.analyzer.rejected, 0, "{}", report.render());
+    for (config, schema) in [
+        (GenerationConfig::default(), hospital(false)),
+        (GenerationConfig::small(), hospital(true)),
+    ] {
+        let (corpus, report) = TrainingPipeline::new(config).generate_with_report(&schema);
+        report
+            .check_consistency()
+            .unwrap_or_else(|e| panic!("inconsistent report: {e}\n{}", report.render()));
+        assert_eq!(
+            report.analyzer.analyzed,
+            report.seed_pairs + report.augmented_pairs
+        );
+        assert_eq!(report.final_pairs, corpus.len());
+        assert_eq!(report.analyzer.flagged, 0, "{}", report.render());
+        assert_eq!(report.analyzer.rejected, 0, "{}", report.render());
+        assert!(report.analyzer.codes.is_empty(), "{}", report.render());
+    }
 }

@@ -4,27 +4,21 @@
 //! One iteration is a pure function of `(base_seed, iteration_index)`:
 //! the RNG is `Rng::for_stream(seed, i)`, so any schedule of iterations
 //! across any number of worker threads produces byte-identical findings.
-//! [`run_fuzz`] fans iterations out with `par_map_indexed` and merges
-//! results in input order; [`FuzzReport::to_json`] deliberately excludes
-//! thread count and wall-clock so reports can be compared byte-for-byte
-//! across worker configurations.
+//! [`run_fuzz`] fans iterations out over the process-wide `WorkerPool`
+//! and merges results in input order; [`FuzzReport::to_json`]
+//! deliberately excludes thread count and wall-clock so reports can be
+//! compared byte-for-byte across worker configurations.
 
 use dbpal_engine::Database;
 use dbpal_schema::{Schema, Value};
 use dbpal_sql::Query;
-use dbpal_util::{auto_threads, pooled_map_indexed, MetricsRegistry, Rng};
+use dbpal_util::{MetricsRegistry, Rng, WorkerPool};
 
 use crate::case::{FuzzCase, SchemaSpec};
 use crate::gen::{gen_query, gen_rows, gen_schema};
 use crate::mutate::{seed_faults, shuffle_equivalent};
 use crate::oracles;
 use crate::shrink::shrink_query;
-
-/// Default base seed when `DBPAL_FUZZ_SEED` is unset.
-pub const DEFAULT_SEED: u64 = 0xDBA1;
-
-/// Default iteration budget when `DBPAL_FUZZ_ITERS` is unset.
-pub const DEFAULT_ITERS: usize = 200;
 
 /// Fuzzing run parameters.
 #[derive(Debug, Clone)]
@@ -44,20 +38,6 @@ impl FuzzConfig {
             seed,
             iters,
             threads: threads.max(1),
-        }
-    }
-
-    /// Read `DBPAL_FUZZ_SEED`, `DBPAL_FUZZ_ITERS`, and
-    /// `DBPAL_FUZZ_THREADS` from the environment, with defaults
-    /// ([`DEFAULT_SEED`], [`DEFAULT_ITERS`], all cores).
-    pub fn from_env() -> Self {
-        let read = |key: &str| std::env::var(key).ok().and_then(|v| v.parse::<u64>().ok());
-        FuzzConfig {
-            seed: read("DBPAL_FUZZ_SEED").unwrap_or(DEFAULT_SEED),
-            iters: read("DBPAL_FUZZ_ITERS").unwrap_or(DEFAULT_ITERS as u64) as usize,
-            threads: read("DBPAL_FUZZ_THREADS")
-                .map(|t| t.max(1) as usize)
-                .unwrap_or_else(auto_threads),
         }
     }
 }
@@ -264,7 +244,8 @@ pub fn run_iteration(seed: u64, i: u64) -> Vec<Finding> {
 /// count or scheduling.
 pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     let idxs: Vec<u64> = (0..cfg.iters as u64).collect();
-    let per_iter = pooled_map_indexed(&idxs, cfg.threads, |_, &i| run_iteration(cfg.seed, i));
+    let per_iter =
+        WorkerPool::global().map_indexed(&idxs, cfg.threads, |_, &i| run_iteration(cfg.seed, i));
     FuzzReport {
         seed: cfg.seed,
         iters: cfg.iters,

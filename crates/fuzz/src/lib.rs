@@ -24,9 +24,9 @@
 //! ([`case`]) into `tests/fuzz_corpus/` at the workspace root, where a
 //! replay harness runs them as ordinary `cargo test` regressions.
 //!
-//! The driver fans iterations out with `par_map_indexed`, seeding each
-//! iteration with `Rng::for_stream(seed, i)`: findings are byte-identical
-//! at any worker-thread count.
+//! The driver fans iterations out over the process-wide `WorkerPool`,
+//! seeding each iteration with `Rng::for_stream(seed, i)`: findings are
+//! byte-identical at any worker-thread count.
 //!
 //! [`CanonicalForm`]: dbpal_sql::CanonicalForm
 

@@ -60,13 +60,3 @@ fn iterations_are_seed_reproducible() {
         }
     }
 }
-
-#[test]
-fn config_from_env_defaults() {
-    // Only assert on the compiled-in defaults; the env vars are not set
-    // under `cargo test`.
-    let cfg = FuzzConfig::from_env();
-    assert_eq!(cfg.seed, dbpal_fuzz::driver::DEFAULT_SEED);
-    assert_eq!(cfg.iters, dbpal_fuzz::driver::DEFAULT_ITERS);
-    assert!(cfg.threads >= 1);
-}

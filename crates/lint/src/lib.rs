@@ -19,8 +19,9 @@
 //! 5. [`report`] — human diagnostics plus the `lints` JSON member.
 //!
 //! The linter obeys the contract it enforces: files are walked in
-//! sorted order, analyzed via [`par_map_indexed`], and the report is a
-//! pure function of the sources — byte-identical at any thread count.
+//! sorted order, analyzed on the process-wide [`WorkerPool`], and the
+//! report is a pure function of the sources — byte-identical at any
+//! thread count.
 
 pub mod allowlist;
 pub mod context;
@@ -31,7 +32,7 @@ pub mod rules;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use dbpal_util::pooled_map_indexed;
+use dbpal_util::WorkerPool;
 use rules::Finding;
 
 /// Result of linting a whole tree.
@@ -100,14 +101,15 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// Lint every workspace source file under `root` with `threads`
 /// workers. Output is invariant in `threads`: the file list is sorted,
-/// `par_map_indexed` preserves order, and per-file findings are
+/// the pool's `map_indexed` preserves order, and per-file findings are
 /// already sorted.
 pub fn lint_workspace(root: &Path, threads: usize) -> LintRun {
     let files = workspace_files(root);
-    let per_file: Vec<Vec<Finding>> = pooled_map_indexed(&files, threads, |_, (rel, abs)| {
-        let src = fs::read_to_string(abs).unwrap_or_default();
-        analyze_source(rel, &src)
-    });
+    let per_file: Vec<Vec<Finding>> =
+        WorkerPool::global().map_indexed(&files, threads, |_, (rel, abs)| {
+            let src = fs::read_to_string(abs).unwrap_or_default();
+            analyze_source(rel, &src)
+        });
     LintRun {
         files_scanned: files.len(),
         findings: per_file.into_iter().flatten().collect(),

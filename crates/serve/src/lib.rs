@@ -20,7 +20,7 @@
 //!   differing only in constants share one model invocation (§4.1) and
 //!   cross-tenant hits are impossible by construction;
 //! * **worker fan-out** — the preprocess, translate, and
-//!   post-process/execute stages run on `par_map_indexed` workers;
+//!   post-process/execute stages run on the process-wide `WorkerPool`;
 //! * **per-stage observability** — anonymize / lemmatize / translate /
 //!   postprocess / execute latency histograms plus cache and shed
 //!   counters in a [`dbpal_util::MetricsRegistry`];
@@ -32,8 +32,8 @@
 //! Cache consultation happens in sequential phases between the parallel
 //! ones (see [`service`] for the phase diagram), which keeps every
 //! counter — and the registry's deterministic JSON export — byte-
-//! identical at any worker count. `serve_gate` in `scripts/verify.sh`
-//! enforces exactly that.
+//! identical at any worker count. The `serve` and `tenants` integration
+//! tests enforce exactly that.
 
 mod error;
 pub mod net;

@@ -25,7 +25,7 @@
 //! — is therefore a pure function of the query sequence, independent of
 //! the worker count; only the recorded latencies vary. The
 //! [`MetricsRegistry`] deterministic export is byte-identical at 1 and 8
-//! workers, and `serve_gate` in CI keeps that honest.
+//! workers, and the `serve` integration tests keep that honest.
 //!
 //! # Multi-tenancy
 //!
@@ -37,7 +37,7 @@
 //! worker-count-invariant as the global ones; and the sharded cache's
 //! global logical clock evicts by the same strictly-min-tick rule. A
 //! mixed-tenant batch is exactly as deterministic as a single-tenant
-//! one — the mixed-tenant `serve_gate` phase compares the full
+//! one — the mixed-tenant test in `tests/tenants.rs` compares the full
 //! deterministic export (including every `serve.tenant.<id>.…`
 //! counter) at 1 vs 8 workers, byte for byte.
 //!

@@ -1,6 +1,6 @@
-//! Deterministic fixtures shared by the serve tests, the `serve_gate`
-//! and `tenant_gate` CI bins, and the serve benchmarks: a lookup
-//! translation model and a trio of tenant databases.
+//! Deterministic fixtures shared by the serve tests, the load harness,
+//! and the serve benchmarks: a lookup translation model, a trio of
+//! tenant databases, and seeded question generators over them.
 //!
 //! [`ScriptedModel`] maps an exact anonymized + lemmatized token string
 //! to a fixed SQL translation — the serving layer's contract surface
@@ -284,10 +284,10 @@ pub fn library_script() -> ScriptedModel {
     )
 }
 
-/// The three-tenant fixture registry the multi-tenant battery and
-/// gates run against: `alpha` (hospital), `beta` (same schema,
-/// different data), `gamma` (disjoint library schema). `alpha` is
-/// first, so it doubles as the default tenant for untagged requests.
+/// The three-tenant fixture registry the multi-tenant battery runs
+/// against: `alpha` (hospital), `beta` (same schema, different data),
+/// `gamma` (disjoint library schema). `alpha` is first, so it doubles
+/// as the default tenant for untagged requests.
 pub fn tenant_registry() -> TenantRegistry<ScriptedModel> {
     TenantRegistry::new()
         .register("alpha", Nlidb::new(hospital_db(), hospital_script()))
@@ -295,49 +295,49 @@ pub fn tenant_registry() -> TenantRegistry<ScriptedModel> {
         .register("gamma", Nlidb::new(library_db(), library_script()))
 }
 
+/// One seeded question from one of [`hospital_script`]'s four families,
+/// with its constant drawn from `ages` or `doctors` (the disease list
+/// is shared by both hospital-schema tenants).
+fn patient_question(rng: &mut Rng, ages: &[i64], doctors: &[&str]) -> String {
+    match rng.gen_range(0u32..4) {
+        0 => {
+            let age = *ages.choose(rng).unwrap();
+            format!("Show me the name of all patients with age {age}")
+        }
+        1 => {
+            let d = *["influenza", "asthma", "malaria"].choose(rng).unwrap();
+            format!("How many patients have {d}?")
+        }
+        2 => {
+            let doc = *doctors.choose(rng).unwrap();
+            format!("What is the average age of patients of doctor {doc}")
+        }
+        _ => "show the names of all patients".to_string(),
+    }
+}
+
+/// One seeded question over [`hospital_db`] and [`hospital_script`]:
+/// a random family, with a constant that exists in the fixture data.
+/// With four families there are four cache keys, so a long run of
+/// these is mostly cache hits.
+pub fn hospital_question(rng: &mut Rng) -> String {
+    patient_question(rng, &[80, 35, 64, 20, 47], &["House", "Grey"])
+}
+
 /// A seeded interleaved mixed-tenant workload of `(tenant, question)`
 /// pairs over [`tenant_registry`]'s three tenants, every question
 /// drawn from its tenant's script families with constants that exist
 /// in that tenant's data. Deterministic per seed — the mixed-tenant
-/// gate replays it at different worker counts.
+/// tests replay it at different worker counts.
 pub fn tenant_workload(seed: u64, len: usize) -> Vec<(String, String)> {
     let mut rng = Rng::seed_from_u64(seed);
     (0..len)
         .map(|_| match rng.gen_range(0u32..3) {
-            0 => ("alpha".to_string(), {
-                match rng.gen_range(0u32..4) {
-                    0 => {
-                        let age = *[80i64, 35, 64, 20, 47].choose(&mut rng).unwrap();
-                        format!("Show me the name of all patients with age {age}")
-                    }
-                    1 => {
-                        let d = *["influenza", "asthma", "malaria"].choose(&mut rng).unwrap();
-                        format!("How many patients have {d}?")
-                    }
-                    2 => {
-                        let doc = *["House", "Grey"].choose(&mut rng).unwrap();
-                        format!("What is the average age of patients of doctor {doc}")
-                    }
-                    _ => "show the names of all patients".to_string(),
-                }
-            }),
-            1 => ("beta".to_string(), {
-                match rng.gen_range(0u32..4) {
-                    0 => {
-                        let age = *[61i64, 33, 58, 47].choose(&mut rng).unwrap();
-                        format!("Show me the name of all patients with age {age}")
-                    }
-                    1 => {
-                        let d = *["influenza", "asthma", "malaria"].choose(&mut rng).unwrap();
-                        format!("How many patients have {d}?")
-                    }
-                    2 => {
-                        let doc = *["Adams", "Baker"].choose(&mut rng).unwrap();
-                        format!("What is the average age of patients of doctor {doc}")
-                    }
-                    _ => "show the names of all patients".to_string(),
-                }
-            }),
+            0 => ("alpha".to_string(), hospital_question(&mut rng)),
+            1 => (
+                "beta".to_string(),
+                patient_question(&mut rng, &[61, 33, 58, 47], &["Adams", "Baker"]),
+            ),
             _ => ("gamma".to_string(), {
                 match rng.gen_range(0u32..3) {
                     0 => {

@@ -3,9 +3,9 @@
 //! property.
 
 use dbpal_runtime::{Nlidb, RuntimeError};
-use dbpal_serve::testing::{hospital_db, hospital_script};
+use dbpal_serve::testing::{hospital_db, hospital_question, hospital_script};
 use dbpal_serve::{QueryService, ServeConfig, ServeError};
-use dbpal_util::{check, forall, SliceRandom};
+use dbpal_util::{check, forall, Rng};
 
 fn service(config: ServeConfig) -> QueryService<dbpal_serve::testing::ScriptedModel> {
     QueryService::new(Nlidb::new(hospital_db(), hospital_script()), config)
@@ -72,28 +72,42 @@ fn batch_coalesces_duplicate_misses() {
     assert_eq!(svc.cache_len(), 1);
 }
 
+/// The first `len` questions of the seeded mixed workload: every family
+/// of the script, constants from the fixture data, and — with only four
+/// cache keys — mostly repeats.
+fn seeded_workload(len: usize) -> Vec<String> {
+    let mut rng = Rng::seed_from_u64(0x5EB5);
+    (0..len).map(|_| hospital_question(&mut rng)).collect()
+}
+
 #[test]
 fn overload_sheds_tail_with_typed_errors() {
-    let svc = service(ServeConfig {
-        queue_depth: 4,
-        ..ServeConfig::default()
-    });
-    let questions: Vec<String> = (0..7)
-        .map(|_| "show the names of all patients".to_string())
-        .collect();
-    let results = svc.submit_batch(&questions);
-    assert_eq!(results.len(), 7);
-    for r in &results[..4] {
-        assert!(r.is_ok(), "admitted query failed: {r:?}");
-    }
-    for r in &results[4..] {
+    // (queue depth, batch): one repeated question, and the head of the
+    // seeded mixed workload. Either way the batch sheds exactly its
+    // over-depth tail, as typed errors.
+    let repeated = vec!["show the names of all patients".to_string(); 7];
+    for (depth, questions) in [(4, repeated), (8, seeded_workload(12))] {
+        let svc = service(ServeConfig {
+            queue_depth: depth,
+            ..ServeConfig::default()
+        });
+        let results = svc.submit_batch(&questions);
+        assert_eq!(results.len(), questions.len());
+        for r in &results[..depth] {
+            assert!(r.is_ok(), "admitted query failed: {r:?}");
+        }
+        for r in &results[depth..] {
+            assert_eq!(
+                r.as_ref().unwrap_err(),
+                &ServeError::Overloaded { queue_depth: depth }
+            );
+        }
         assert_eq!(
-            r.as_ref().unwrap_err(),
-            &ServeError::Overloaded { queue_depth: 4 }
+            counter(&svc, "serve.shed"),
+            (questions.len() - depth) as u64
         );
+        assert_eq!(counter(&svc, "serve.queries"), depth as u64);
     }
-    assert_eq!(counter(&svc, "serve.shed"), 3);
-    assert_eq!(counter(&svc, "serve.queries"), 4);
 }
 
 #[test]
@@ -186,21 +200,38 @@ fn mixed_workload() -> Vec<String> {
 
 #[test]
 fn deterministic_metrics_identical_at_1_and_8_workers() {
-    let run = |workers: usize| {
-        let svc = service(ServeConfig {
-            workers,
-            ..ServeConfig::default()
-        });
-        let qs = mixed_workload();
-        for batch in qs.chunks(5) {
-            let results = svc.submit_batch(batch);
-            assert!(results.iter().all(|r| r.is_ok()));
-        }
-        svc.metrics().to_json_deterministic().pretty()
-    };
-    let one = run(1);
-    let eight = run(8);
-    assert_eq!(one, eight, "deterministic export diverged across workers");
+    // (questions, batch size, hit-rate floor). The seeded run has four
+    // cache keys across 200 questions, so misses can only happen before
+    // a family's first translation lands.
+    for (questions, batch, min_hit_rate) in
+        [(mixed_workload(), 5, 0.0), (seeded_workload(200), 20, 0.8)]
+    {
+        let run = |workers: usize| {
+            let svc = service(ServeConfig {
+                workers,
+                ..ServeConfig::default()
+            });
+            for chunk in questions.chunks(batch) {
+                let results = svc.submit_batch(chunk);
+                assert!(results.iter().all(|r| r.is_ok()));
+            }
+            svc
+        };
+        let (one, eight) = (run(1), run(8));
+        assert_eq!(
+            one.metrics().to_json_deterministic().pretty(),
+            eight.metrics().to_json_deterministic().pretty(),
+            "deterministic export diverged across workers"
+        );
+        let hits = counter(&one, "serve.cache.hit");
+        let total = questions.len() as u64;
+        assert_eq!(hits + counter(&one, "serve.cache.miss"), total);
+        assert!(
+            hits as f64 >= min_hit_rate * total as f64,
+            "{hits} hits of {total} is below the {min_hit_rate} hit-rate floor"
+        );
+        assert_eq!(counter(&one, "serve.shed"), 0);
+    }
 }
 
 #[test]
@@ -215,21 +246,7 @@ fn cached_and_uncached_translations_agree() {
             cache_capacity: rng.gen_range(1usize..5),
             ..ServeConfig::default()
         });
-        let questions: Vec<String> = check::vec_of(rng, 1..12, |r| match r.gen_range(0u32..4) {
-            0 => {
-                let age = *[80i64, 35, 64, 20, 47].choose(r).unwrap();
-                format!("Show me the name of all patients with age {age}")
-            }
-            1 => {
-                let d = *["influenza", "asthma", "malaria"].choose(r).unwrap();
-                format!("How many patients have {d}?")
-            }
-            2 => {
-                let doc = *["House", "Grey"].choose(r).unwrap();
-                format!("What is the average age of patients of doctor {doc}")
-            }
-            _ => "show the names of all patients".to_string(),
-        });
+        let questions = check::vec_of(rng, 1..12, hospital_question);
         let served = svc.submit_batch(&questions);
         for (question, served) in questions.iter().zip(served) {
             let served = served.expect("scripted workload answers cleanly");

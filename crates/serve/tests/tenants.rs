@@ -336,24 +336,48 @@ fn quota_resets_between_batches() {
 
 #[test]
 fn mixed_tenant_metrics_identical_at_1_and_8_workers() {
-    // The tentpole determinism claim, at test scale: a seeded
-    // interleaved three-tenant workload exports byte-identical metrics
-    // (global and per-tenant) at any worker count.
-    let workload = tenant_workload(0xD00D, 60);
-    let run = |workers: usize| {
-        let svc = service(ServeConfig {
-            workers,
-            ..ServeConfig::default()
-        });
-        for batch in workload.chunks(8) {
-            let results = svc.submit_tagged(batch);
-            assert!(results.iter().all(|r| r.is_ok()));
+    // The tentpole determinism claim: a seeded interleaved three-tenant
+    // workload exports byte-identical metrics (global and per-tenant)
+    // at any worker count, every tenant sees traffic, and the
+    // per-tenant counters add up to the globals. Inputs are
+    // (seed, questions, batch size).
+    for (seed, len, batch) in [(0xD00D, 60, 8), (0x7E4A, 120, 20), (0x7E4A7, 150, 15)] {
+        let workload = tenant_workload(seed, len);
+        let run = |workers: usize| {
+            let svc = service(ServeConfig {
+                workers,
+                ..ServeConfig::default()
+            });
+            for chunk in workload.chunks(batch) {
+                let results = svc.submit_tagged(chunk);
+                assert!(results.iter().all(|r| r.is_ok()));
+            }
+            svc
+        };
+        let (one, eight) = (run(1), run(8));
+        let export = one.metrics().to_json_deterministic().pretty();
+        assert_eq!(
+            export,
+            eight.metrics().to_json_deterministic().pretty(),
+            "mixed-tenant export diverged across workers (seed {seed:#x})"
+        );
+        assert!(export.contains("serve.tenant.alpha.queries"));
+        assert!(export.contains("serve.tenant.gamma.cache.miss"));
+
+        let mut sums = [0u64; 3];
+        for tenant in ["alpha", "beta", "gamma"] {
+            let c = |name: &str| counter(&one, &format!("serve.tenant.{tenant}.{name}"));
+            let (queries, hits, misses) = (c("queries"), c("cache.hit"), c("cache.miss"));
+            assert!(queries > 0, "seed {seed:#x} never reached {tenant}");
+            assert_eq!(hits + misses, queries, "{tenant} (seed {seed:#x})");
+            assert_eq!(c("shed"), 0, "{tenant} shed (seed {seed:#x})");
+            for (sum, n) in sums.iter_mut().zip([queries, hits, misses]) {
+                *sum += n;
+            }
         }
-        svc.metrics().to_json_deterministic().pretty()
-    };
-    let one = run(1);
-    let eight = run(8);
-    assert_eq!(one, eight, "mixed-tenant export diverged across workers");
-    assert!(one.contains("serve.tenant.alpha.queries"));
-    assert!(one.contains("serve.tenant.gamma.cache.miss"));
+        let globals = ["serve.queries", "serve.cache.hit", "serve.cache.miss"]
+            .map(|name| counter(&one, name));
+        assert_eq!(sums, globals, "tenant counters vs globals (seed {seed:#x})");
+        assert_eq!(globals[0], len as u64);
+    }
 }

@@ -267,23 +267,10 @@ impl Harness {
         ])
     }
 
-    /// The machine-readable report path this run should write, if any:
-    /// `DBPAL_BENCH_JSON=<path|->` wins, then a `--json` argument, which
-    /// writes `BENCH_<group>.json` in the current directory. This is how
-    /// the perf trajectory gets recorded — see DESIGN.md "Serving &
-    /// observability" for the schema.
-    fn json_path(&self) -> Option<String> {
-        if let Ok(path) = std::env::var("DBPAL_BENCH_JSON") {
-            return Some(path);
-        }
-        if std::env::args().any(|a| a == "--json") {
-            return Some(format!("BENCH_{}.json", self.group));
-        }
-        None
-    }
-
-    /// Print the human-readable table and honor `DBPAL_BENCH_JSON` /
-    /// `--json`. Call once at the end of a bench binary's `main`.
+    /// Print the human-readable table and honor `DBPAL_BENCH_JSON=<path|->`,
+    /// which records the run as a machine-readable report (see DESIGN.md
+    /// "Serving & observability" for the schema). Call once at the end
+    /// of a bench binary's `main`.
     pub fn finish(self) {
         println!("\n== {} ==", self.group);
         let name_w = self
@@ -306,7 +293,7 @@ impl Harness {
                 fmt_dur(m.max),
             );
         }
-        if let Some(path) = self.json_path() {
+        if let Ok(path) = std::env::var("DBPAL_BENCH_JSON") {
             let doc = self.to_json().pretty();
             if path == "-" {
                 println!("{doc}");

@@ -404,18 +404,6 @@ fn payload_message(payload: &Box<dyn Any + Send>) -> String {
     }
 }
 
-/// Map `f` over `items` on the process-wide [`WorkerPool::global`] pool.
-/// Drop-in replacement for [`par_map_indexed`] at call sites that have
-/// no configuration to thread a pool handle through.
-pub fn pooled_map_indexed<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    WorkerPool::global().map_indexed(items, threads, f)
-}
-
 /// How a pipeline or service executes its fan-outs. Defaults to the
 /// process-wide persistent pool; `Scoped` restores the PR-2 era
 /// spawn-per-call behavior, and `Pool` pins a caller-owned pool (used by

@@ -35,40 +35,23 @@ gate_time "lint_gate + fmt"
 
 cargo build --release --offline --workspace
 gate_time "build"
+# The test suite also holds the serving and analyzer checks: seeded
+# single- and mixed-tenant workloads exporting byte-identical metrics at
+# 1 vs 8 workers with hit-rate, shed and per-tenant counter asserts
+# (crates/serve/tests/{serve,tenants}.rs), exact typed sheds under
+# saturation and tenant quotas, shard-scoped hot-swaps, and clean
+# Reject-policy generation (crates/core/tests/proptest_analyze.rs).
 cargo test -q --offline --workspace
 gate_time "test"
-
-# Fast-profile generation under the default Reject analyzer policy:
-# every generated pair must analyze clean (zero rejects, zero E-codes).
-cargo run --release --offline -p dbpal-bench --bin analyze_gate -- --quick
-gate_time "analyze_gate"
 
 # Seeded fixed-budget fuzz over the three differential oracles
 # (roundtrip, canonicalizer soundness, analyzer coherence). Runs the
 # same budget at 1 and 8 worker threads and requires byte-identical
 # reports; any finding prints its minimized corpus case and fails.
-DBPAL_FUZZ_ITERS="${DBPAL_FUZZ_ITERS:-200}"
-export DBPAL_FUZZ_ITERS
+# DBPAL_FUZZ_ITERS (default 200) and DBPAL_FUZZ_SEED override the budget
+# and seed; a malformed value exits 2 before any fuzzing.
 cargo run --release --offline -p dbpal-bench --bin fuzz_smoke
 gate_time "fuzz_smoke"
-
-# Serving-layer gate: seeded mixed workload through dbpal-serve must hit
-# the cache above the seeded floor, shed nothing at the default queue
-# depth, export byte-identical deterministic metrics at 1 and 8 workers
-# (for the single-tenant workload and the interleaved three-tenant one),
-# and shed exactly the over-limit tail (typed errors) under saturation.
-cargo run --release --offline -p dbpal-bench --bin serve_gate -- --quick
-gate_time "serve_gate"
-
-# Multi-tenant gate: the seeded three-tenant workload must export
-# deterministic per-tenant counters at any worker count, quota sheds
-# must be exact (typed TenantOverloaded, neighbors untouched), and a
-# database hot-swap must invalidate only the swapped tenant's cache
-# shard. Writes BENCH_tenant.json with the `tenants` section the lint
-# below requires.
-DBPAL_BENCH_JSON="$PWD/BENCH_tenant.json" \
-  cargo run --release --offline -p dbpal-bench --bin tenant_gate -- --quick
-gate_time "tenant_gate"
 
 # Machine-readable perf trajectory: regenerate the bench reports in
 # quick mode and lint them against the schema in DESIGN.md with the
@@ -89,11 +72,9 @@ gate_time "bench regen"
 
 # Network load gate: closed-loop clients against a live dbpal-server
 # socket, twice. Requires zero protocol errors / mismatches / sheds, a
-# byte-identical deterministic payload across the two runs, and the QPS
-# floor (DBPAL_LOAD_QPS_FLOOR, default 200). Merges the `load` section
-# into BENCH_serve.json, which the lint below then requires and checks.
-# DBPAL_LOAD_CLIENTS / _WARMUP / _REQUESTS / _BATCH / _SEED tune the
-# reduced --quick profile.
+# byte-identical deterministic payload across the two runs, and a
+# 200-QPS floor. Merges the `load` section into BENCH_serve.json, which
+# the lint below then requires and checks.
 DBPAL_BENCH_JSON="$PWD/BENCH_serve.json" \
   cargo run --release --offline -p dbpal-bench --bin load_gate -- --quick
 gate_time "load_gate"
@@ -101,7 +82,7 @@ gate_time "load_gate"
 # Streaming-corpus gate: bounded-memory multi-round generation into a
 # JSONL sink. Asserts the pair target (10k quick; DBPAL_CORPUS_PAIRS
 # overrides, 100k default for full runs), zero analyzer rejects, the
-# DBPAL_CORPUS_MEM_MB ceiling against the kernel's VmRSS, byte-identical
+# 2048 MiB ceiling against the kernel's VmRSS, byte-identical
 # JSONL digests at 1 vs 8 threads, a JSONL round-trip, and
 # deterministic provenance-weighted splits. Merges the
 # `corpus` section into BENCH_corpus.json, which the lint below
@@ -111,8 +92,7 @@ DBPAL_BENCH_JSON="$PWD/BENCH_corpus.json" \
 gate_time "corpus_gate"
 
 cargo run --release --offline -p dbpal-bench --bin bench_json_lint -- \
-  BENCH_pipeline.json BENCH_serve.json BENCH_tenant.json BENCH_lint.json \
-  BENCH_corpus.json
+  BENCH_pipeline.json BENCH_serve.json BENCH_lint.json BENCH_corpus.json
 
 # Perf regression gate: the fresh medians must sit within their group's
 # tolerance band (default x3; wider x4 for the whole-run corpus group;
