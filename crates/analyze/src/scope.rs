@@ -74,15 +74,6 @@ impl<'a> Scope<'a> {
         }
     }
 
-    /// A scope over an explicit table set (no FROM-clause diagnostics).
-    pub fn over_tables(schema: &'a Schema, tables: Vec<TableId>, depth: usize) -> Self {
-        Scope {
-            schema,
-            tables: Some(tables),
-            depth,
-        }
-    }
-
     /// Resolve a FROM-clause table name, falling back to table synonyms.
     fn resolve_table_name(
         schema: &Schema,

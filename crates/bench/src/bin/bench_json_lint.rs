@@ -12,14 +12,11 @@
 //! appears, and *required* in its group's report, so a gate that
 //! silently stopped merging fails CI. The `serve` report carries the
 //! load harness's `load` member (client and request counts, QPS,
-//! p50/p95/p99 latencies, error tallies, the answer digest); the `lint`
-//! report the `lints` member (the rule catalog with per-rule finding
-//! counts, the allowlist entry count, and a violations array that must
-//! be empty — `lint_gate` fails otherwise, so a non-empty array means a
-//! stale or hand-edited report); the `corpus` report the `corpus`
-//! member (streaming-run totals, dedup rate, JSONL digest, memory
-//! observations, and zero analyzer rejects — a committed corpus report
-//! that rejected pairs means `corpus_gate` should have failed).
+//! p50/p95/p99 latencies, error tallies, the answer digest); the
+//! `corpus` report the `corpus` member (streaming-run totals, dedup
+//! rate, JSONL digest, memory observations, and zero analyzer rejects —
+//! a committed corpus report that rejected pairs means `corpus_gate`
+//! should have failed).
 //!
 //! A second mode, `--compare <BASE> <FRESH> [<BASE> <FRESH>...]`, diffs
 //! a fresh run against the committed baseline pair by pair: every
@@ -40,7 +37,6 @@ type Validator = fn(&Json) -> Result<(), String>;
 /// `(group, member, gate that writes it, validator)`.
 const MEMBERS: &[(&str, &str, &str, Validator)] = &[
     ("serve", "load", "load_gate", check_load),
-    ("lint", "lints", "lint_gate", check_lints),
     ("corpus", "corpus", "corpus_gate", check_corpus),
 ];
 
@@ -94,46 +90,6 @@ fn check_load(load: &Json) -> Result<(), String> {
         ],
     )?;
     strings("load", load, &["digest"])
-}
-
-/// The `lints` member written by `lint_gate`.
-fn check_lints(lints: &Json) -> Result<(), String> {
-    let [_, files_scanned, _] = numbers(
-        "lints",
-        lints,
-        ["schema_version", "files_scanned", "allowlist_entries"],
-    )?;
-    if files_scanned == 0.0 {
-        return Err("lints: scanned zero files".to_string());
-    }
-    let rules = lints
-        .get("rules")
-        .and_then(Json::as_arr)
-        .ok_or("lints: missing array `rules`")?;
-    if rules.is_empty() {
-        return Err("lints: empty rule catalog".to_string());
-    }
-    for (i, rule) in rules.iter().enumerate() {
-        let ctx = format!("lints.rules[{i}]");
-        strings(&ctx, rule, &["code", "name"])?;
-        let [findings, allowed] = numbers(&ctx, rule, ["findings", "allowlisted"])?;
-        if allowed > findings {
-            return Err(format!(
-                "{ctx}: inconsistent counts (findings {findings}, allowlisted {allowed})"
-            ));
-        }
-    }
-    let violations = lints
-        .get("violations")
-        .and_then(Json::as_arr)
-        .ok_or("lints: missing array `violations`")?;
-    if !violations.is_empty() {
-        return Err(format!(
-            "lints: {} violations in a committed report — lint_gate should have failed",
-            violations.len()
-        ));
-    }
-    Ok(())
 }
 
 /// The `corpus` member written by `corpus_gate`.

@@ -19,7 +19,7 @@ fn main() {
     eprintln!(
         "[fig4] running {trials} random-search trials over the generator parameters ({threads} threads)"
     );
-    let results = exp.run_parallel(trials, 0x68, threads);
+    let results = exp.run(trials, 0x68, threads);
 
     let (min, max, mean, std) = accuracy_stats(&results);
     println!("Figure 4: Histogram of Test Accuracy for Random Parameter Configurations\n");

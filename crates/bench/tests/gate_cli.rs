@@ -8,7 +8,6 @@ use std::process::Command;
 #[test]
 fn unknown_argument_is_a_usage_error() {
     for bin in [
-        env!("CARGO_BIN_EXE_lint_gate"),
         env!("CARGO_BIN_EXE_fuzz_smoke"),
         env!("CARGO_BIN_EXE_load_gate"),
         env!("CARGO_BIN_EXE_corpus_gate"),

@@ -13,8 +13,6 @@ const BENCHMARKS: &str = r#"[{"name": "x/y", "median_ns": 10, "min_ns": 9, "max_
 
 const LOAD: &str = r#"{"clients": 4, "batch": 4, "warmup_requests": 32, "measured_requests": 160, "queries": 640, "qps": 1234.5, "p50_ns": 10, "p95_ns": 20, "p99_ns": 30, "protocol_errors": 0, "answer_mismatches": 0, "sheds": 0, "digest": "5e0f359903713de6"}"#;
 
-const LINTS: &str = r#"{"schema_version": 1, "files_scanned": 3, "allowlist_entries": 1, "rules": [{"code": "L001", "name": "TIME", "findings": 2, "allowlisted": 2}], "violations": []}"#;
-
 const CORPUS: &str = r#"{"pairs": 100, "target_pairs": 90, "rounds": 2, "schemas": 3, "threads": 1, "pairs_per_sec": 5000.5, "bytes": 4096, "dedup_rate": 0.25, "exact_dropped": 20, "conflicts_resolved": 5, "analyzer_rejected": 0, "estimated_peak_bytes": 8192, "digest": "0x00000000000000ab", "peak_resident_bytes": 16384}"#;
 
 /// A report for `group`, carrying `member` as `(key, body)` when given.
@@ -28,7 +26,6 @@ fn valid_reports() -> Vec<(&'static str, String)> {
     vec![
         ("pipeline", report("pipeline", None)),
         ("serve", report("serve", Some(("load", LOAD)))),
-        ("lint", report("lint", Some(("lints", LINTS)))),
         ("corpus", report("corpus", Some(("corpus", CORPUS)))),
     ]
 }
@@ -63,7 +60,6 @@ fn each_broken_rule_fails_with_its_diagnostic() {
     // (case, report text, expected stderr): each breaks one rule of a
     // valid report.
     let serve = report("serve", Some(("load", LOAD)));
-    let lints = report("lint", Some(("lints", LINTS)));
     let corpus = report("corpus", Some(("corpus", CORPUS)));
     let edit = |text: &str, from: &str, to: &str| {
         assert!(text.contains(from), "fixture edit `{from}` matches nothing");
@@ -74,11 +70,6 @@ fn each_broken_rule_fails_with_its_diagnostic() {
             "serve_without_load",
             report("serve", None),
             "group `serve` requires a `load` member (run load_gate)",
-        ),
-        (
-            "lint_without_lints",
-            report("lint", None),
-            "group `lint` requires a `lints` member (run lint_gate)",
         ),
         (
             "corpus_without_corpus",
@@ -123,25 +114,6 @@ fn each_broken_rule_fails_with_its_diagnostic() {
             "dedup_rate_above_one",
             edit(&corpus, "\"dedup_rate\": 0.25", "\"dedup_rate\": 1.5"),
             "corpus: dedup_rate 1.5 outside [0, 1]",
-        ),
-        (
-            "zero_files_scanned",
-            edit(&lints, "\"files_scanned\": 3", "\"files_scanned\": 0"),
-            "lints: scanned zero files",
-        ),
-        (
-            "violations_present",
-            edit(
-                &lints,
-                "\"violations\": []",
-                "\"violations\": [{\"code\": \"L001\"}]",
-            ),
-            "lint_gate should have failed",
-        ),
-        (
-            "allowlisted_exceeds_findings",
-            edit(&lints, "\"allowlisted\": 2", "\"allowlisted\": 3"),
-            "lints.rules[0]: inconsistent counts (findings 2, allowlisted 3)",
         ),
         (
             "does_not_parse",

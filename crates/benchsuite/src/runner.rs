@@ -105,13 +105,6 @@ impl SpiderExperiment {
         }
     }
 
-    /// Set the pipeline worker-thread count (0 = all available). Never
-    /// changes the generated corpora, only wall-clock time.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.gen_config.threads = threads;
-        self
-    }
-
     /// Synthetic corpus for the training schemas.
     pub fn synthetic_train_corpus(&self) -> TrainingCorpus {
         let pipeline = TrainingPipeline::new(self.gen_config.clone());
@@ -216,13 +209,6 @@ impl PatientsExperiment {
             spider: SpiderExperiment::quick(),
             patients: PatientsBenchmark::new(),
         }
-    }
-
-    /// Set the pipeline worker-thread count (0 = all available). Never
-    /// changes the generated corpora, only wall-clock time.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.spider.gen_config.threads = threads;
-        self
     }
 
     /// Synthetic corpus for the Patients schema, optionally restricted to
@@ -345,7 +331,7 @@ impl GeoTuningExperiment {
     /// One trial: generate with ϕ, train, return accuracy on T.
     pub fn generate(&self, config: &GenerationConfig) -> f64 {
         // The outer random search already saturates the cores when run
-        // through `run_parallel`, so each trial's pipeline runs
+        // on more than one thread, so each trial's pipeline runs
         // single-threaded to avoid oversubscription.
         let config = GenerationConfig {
             threads: 1,
@@ -359,14 +345,10 @@ impl GeoTuningExperiment {
     }
 
     /// Run the full random search (the paper samples 68 candidates).
-    pub fn run(&self, trials: usize, seed: u64) -> Vec<TrialResult> {
-        RandomSearch::new(trials, seed).run(|cfg| self.generate(cfg))
-    }
-
-    /// Parallel random search: trials are independent `Generate(D, T, ϕ)`
-    /// runs, so they scale across cores.
-    pub fn run_parallel(&self, trials: usize, seed: u64, threads: usize) -> Vec<TrialResult> {
-        RandomSearch::new(trials, seed).run_parallel(threads, |cfg| self.generate(cfg))
+    /// Trials are independent `Generate(D, T, ϕ)` runs spread over
+    /// `threads` workers; the results do not depend on `threads`.
+    pub fn run(&self, trials: usize, seed: u64, threads: usize) -> Vec<TrialResult> {
+        RandomSearch::new(trials, seed).run(threads, |cfg| self.generate(cfg))
     }
 }
 

@@ -39,23 +39,13 @@ impl RandomSearch {
     }
 
     /// Run the search, invoking `generate` (the paper's
-    /// `Generate(D, T, ϕ)`) for every sampled candidate.
-    pub fn run(&self, mut generate: impl FnMut(&GenerationConfig) -> f64) -> Vec<TrialResult> {
-        let mut rng = Rng::seed_from_u64(self.seed);
-        let mut results = Vec::with_capacity(self.trials);
-        for _ in 0..self.trials {
-            let config = GenerationConfig::sample(&mut rng);
-            let accuracy = generate(&config);
-            results.push(TrialResult { config, accuracy });
-        }
-        results
-    }
-
-    /// Parallel variant of [`RandomSearch::run`]: trials are independent
-    /// (each runs the full generate → train → evaluate loop), so the
-    /// sweep parallelizes perfectly across `threads` workers. The result
-    /// order and contents are identical to the sequential run.
-    pub fn run_parallel(
+    /// `Generate(D, T, ϕ)`) for every sampled candidate. Trials are
+    /// independent (each runs the full generate → train → evaluate
+    /// loop), so they fan out over up to `threads` workers of the
+    /// process-wide pool; `threads = 1` runs them inline. The RNG only
+    /// draws candidates, so the results — order and contents — are the
+    /// same at any thread count.
+    pub fn run(
         &self,
         threads: usize,
         generate: impl Fn(&GenerationConfig) -> f64 + Sync,
@@ -189,14 +179,14 @@ mod tests {
     #[test]
     fn random_search_runs_all_trials() {
         let search = RandomSearch::new(20, 42);
-        let results = search.run(surface);
+        let results = search.run(1, surface);
         assert_eq!(results.len(), 20);
     }
 
     #[test]
     fn random_search_is_deterministic_per_seed() {
-        let a = RandomSearch::new(10, 7).run(surface);
-        let b = RandomSearch::new(10, 7).run(surface);
+        let a = RandomSearch::new(10, 7).run(1, surface);
+        let b = RandomSearch::new(10, 7).run(1, surface);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.config, y.config);
             assert_eq!(x.accuracy, y.accuracy);
@@ -205,8 +195,8 @@ mod tests {
 
     #[test]
     fn parallel_run_matches_sequential() {
-        let sequential = RandomSearch::new(12, 5).run(surface);
-        let parallel = RandomSearch::new(12, 5).run_parallel(4, surface);
+        let sequential = RandomSearch::new(12, 5).run(1, surface);
+        let parallel = RandomSearch::new(12, 5).run(4, surface);
         assert_eq!(sequential.len(), parallel.len());
         for (a, b) in sequential.iter().zip(&parallel) {
             assert_eq!(a.config, b.config);
@@ -216,7 +206,7 @@ mod tests {
 
     #[test]
     fn best_finds_maximum() {
-        let results = RandomSearch::new(30, 1).run(surface);
+        let results = RandomSearch::new(30, 1).run(1, surface);
         let b = best(&results).unwrap();
         assert!(results.iter().all(|r| r.accuracy <= b.accuracy));
     }
@@ -242,7 +232,7 @@ mod tests {
 
     #[test]
     fn stats_are_consistent() {
-        let results = RandomSearch::new(50, 3).run(surface);
+        let results = RandomSearch::new(50, 3).run(1, surface);
         let (min, max, mean, std) = accuracy_stats(&results);
         assert!(min <= mean && mean <= max);
         assert!(std >= 0.0);
@@ -250,7 +240,7 @@ mod tests {
 
     #[test]
     fn histogram_counts_everything() {
-        let results = RandomSearch::new(68, 4).run(surface);
+        let results = RandomSearch::new(68, 4).run(1, surface);
         let hist = accuracy_histogram(&results, 10);
         assert_eq!(hist.len(), 10);
         assert_eq!(hist.iter().map(|(_, c)| c).sum::<usize>(), 68);

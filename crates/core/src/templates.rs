@@ -138,20 +138,6 @@ impl QueryClass {
         )
     }
 
-    /// Whether the class is covered by the seed-template catalog
-    /// ([`crate::catalog`]). The remaining classes exist in the SQL space
-    /// but have no DBPal seed template, which the pattern-coverage
-    /// analysis of the paper's Table 4 relies on.
-    pub fn in_seed_catalog(self) -> bool {
-        !matches!(
-            self,
-            QueryClass::NotLike
-                | QueryClass::CountDistinct
-                | QueryClass::TopN { .. }
-                | QueryClass::NotBetween
-        )
-    }
-
     /// The aggregate functions this class may instantiate.
     pub fn agg_choices(self) -> &'static [AggFunc] {
         match self {

@@ -82,17 +82,6 @@ impl Database {
         Ok(())
     }
 
-    /// Insert many rows; stops at the first error.
-    pub fn insert_all<I>(&mut self, table: &str, rows: I) -> Result<(), EngineError>
-    where
-        I: IntoIterator<Item = Vec<Value>>,
-    {
-        for row in rows {
-            self.insert(table, row)?;
-        }
-        Ok(())
-    }
-
     /// Number of rows currently stored in a table.
     pub fn row_count(&self, table: &str) -> Result<usize, EngineError> {
         let tid = self

@@ -1,8 +1,8 @@
-//! The linter eats its own dog food: the workspace must be clean under
-//! the committed allowlist, with zero stale entries, and the JSON
-//! report must be byte-identical at 1 and 8 lint threads — the same
-//! checks `lint_gate` enforces in CI, kept in `cargo test` so a
-//! violation fails fast during development.
+//! The linter eats its own dog food: the allowlist must parse, the
+//! workspace must be clean under it with zero stale entries, and the
+//! JSON report must be byte-identical at 1 and 8 lint threads.
+//! `scripts/verify.sh` runs this test first, before fmt and the build,
+//! so a violation fails CI fast.
 
 use std::path::PathBuf;
 

@@ -468,20 +468,6 @@ impl SketchModel {
         self.classes.len()
     }
 
-    /// The top-`k` skeleton classes for a question, with scores — an
-    /// introspection hook for debugging translations.
-    pub fn top_classes(&self, nl_lemmas: &[String], k: usize) -> Vec<(String, f32)> {
-        let feats = features(nl_lemmas);
-        let scores = self.scores(&feats);
-        let mut order: Vec<usize> = (0..scores.len()).collect();
-        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
-        order
-            .into_iter()
-            .take(k)
-            .map(|c| (self.classes[c].key().to_string(), scores[c]))
-            .collect()
-    }
-
     fn scores(&self, feats: &[usize]) -> Vec<f32> {
         let k = self.classes.len();
         let mut scores = self.bias.clone();

@@ -296,16 +296,6 @@ impl Schema {
     pub fn join_graph(&self) -> JoinGraph {
         JoinGraph::new(self)
     }
-
-    /// Rebuild the internal name index (needed after deserialization).
-    pub fn rebuild_index(&mut self) {
-        self.table_index = self
-            .tables
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.name.to_lowercase(), TableId(i as u32)))
-            .collect();
-    }
 }
 
 #[cfg(test)]

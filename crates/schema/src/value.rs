@@ -52,14 +52,6 @@ impl Value {
         }
     }
 
-    /// String view of the value for text operations; `None` otherwise.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// SQL-comparison between two values.
     ///
     /// Returns `None` when either side is NULL (the comparison is

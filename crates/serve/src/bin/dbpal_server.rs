@@ -4,11 +4,11 @@
 //! example) over the length-delimited JSON-over-TCP protocol described
 //! in DESIGN.md "Network serving". The process runs until a client
 //! sends the `shutdown` op, then drains gracefully — stops accepting,
-//! finishes in-flight batches — and flushes the full metrics JSON.
+//! finishes in-flight requests — and flushes the full metrics JSON.
 //!
 //! ```text
 //! dbpal-server [--addr HOST:PORT] [--workers N] [--queue-depth N]
-//!              [--batch-window N] [--max-conns N] [--cache N]
+//!              [--max-conns N] [--cache N]
 //!              [--tenants SPEC] [--metrics-out PATH] [--quiet]
 //! ```
 //!
@@ -16,7 +16,7 @@
 //! the three-tenant fixture registry (`alpha` hospital / `beta` clinic /
 //! `gamma` library). Otherwise the value is a comma-separated list of
 //! `name` or `name:quota` entries, each an independent hospital-fixture
-//! tenant with an optional per-batch admission quota; the first entry
+//! tenant with an optional per-request admission quota; the first entry
 //! is the default tenant for untagged requests. Without the flag the
 //! server hosts the single hospital fixture, exactly as before.
 //!
@@ -37,7 +37,6 @@ struct Args {
     workers: usize,
     queue_depth: usize,
     cache_capacity: usize,
-    batch_window: usize,
     max_connections: usize,
     tenants: Option<String>,
     metrics_out: Option<String>,
@@ -47,7 +46,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: dbpal-server [--addr HOST:PORT] [--workers N] [--queue-depth N]\n\
-         \x20                   [--batch-window N] [--max-conns N] [--cache N]\n\
+         \x20                   [--max-conns N] [--cache N]\n\
          \x20                   [--tenants demo|name[:quota],...]\n\
          \x20                   [--metrics-out PATH] [--quiet]"
     );
@@ -62,7 +61,6 @@ fn parse_args() -> Args {
         workers: defaults.workers,
         queue_depth: defaults.queue_depth,
         cache_capacity: defaults.cache_capacity,
-        batch_window: server_defaults.batch_window,
         max_connections: server_defaults.max_connections,
         tenants: None,
         metrics_out: None,
@@ -81,9 +79,6 @@ fn parse_args() -> Args {
             "--workers" => args.workers = parse_num(&value("--workers"), "--workers"),
             "--queue-depth" => {
                 args.queue_depth = parse_num(&value("--queue-depth"), "--queue-depth")
-            }
-            "--batch-window" => {
-                args.batch_window = parse_num(&value("--batch-window"), "--batch-window")
             }
             "--max-conns" => args.max_connections = parse_num(&value("--max-conns"), "--max-conns"),
             "--cache" => args.cache_capacity = parse_num(&value("--cache"), "--cache"),
@@ -156,7 +151,6 @@ fn main() {
         ServerConfig {
             addr: args.addr.clone(),
             max_connections: args.max_connections,
-            batch_window: args.batch_window,
             log: !args.quiet,
             ..ServerConfig::default()
         },

@@ -26,8 +26,9 @@
 //!   counters in a [`dbpal_util::MetricsRegistry`];
 //! * **a network surface** ([`net`]) — the `dbpal-server` binary speaks
 //!   a length-delimited JSON-over-TCP protocol with health/readiness
-//!   probes, micro-batching into `submit_batch`, redacting structured
-//!   request logs, and graceful drain with a final metrics flush.
+//!   probes, each request served as one batch on its connection's
+//!   thread, redacting structured request logs, and graceful drain with
+//!   a final metrics flush.
 //!
 //! Cache consultation happens in sequential phases between the parallel
 //! ones (see [`service`] for the phase diagram), which keeps every

@@ -40,8 +40,9 @@ use dbpal_util::Json;
 
 use crate::{ServeError, ServeResponse};
 
-/// Cap on questions in one `query` request — far above the micro-batch
-/// window, low enough that a hostile frame cannot queue unbounded work.
+/// Cap on questions in one `query` request. The service answers a
+/// request as one batch and sheds everything past its queue depth; this
+/// cap bounds the list a hostile frame can make admission walk.
 pub const MAX_QUESTIONS_PER_REQUEST: usize = 1024;
 
 /// A parsed client request.

@@ -1,25 +1,24 @@
-//! The network server: a bounded accept loop over std `TcpListener`,
-//! per-connection reader threads, and a micro-batching dispatcher that
-//! feeds [`QueryService::submit_tagged`] with tenant-tagged questions
-//! (untagged requests route to the default tenant; unknown tenants are
-//! refused with a typed `unknown_tenant` error before the queue).
+//! The network server: a bounded accept loop over std `TcpListener`
+//! and per-connection threads, each serving its own requests through
+//! [`QueryService::submit_batch_for`] (untagged requests route to the
+//! default tenant; unknown tenants are refused with a typed
+//! `unknown_tenant` error before the service).
 //!
 //! # Architecture
 //!
 //! ```text
-//!   accept loop ──▶ connection threads ──▶ batch queue ──▶ batcher
-//!   (bounded:       (frame read/write,     (Mutex +        (drains ≤
-//!    refuses over    idle ticks, typed      Condvar)        batch_window
-//!    the limit)      error responses)                       jobs into one
-//!                                                           submit_batch)
+//!   accept loop ──▶ connection threads ──▶ QueryService::submit_batch_for
+//!   (bounded:       (frame read/write,     (one wire request = one batch:
+//!    refuses over    idle ticks, typed      admission, cache, phased
+//!    the limit)      error responses)       pipeline on the WorkerPool)
 //! ```
 //!
-//! Questions from concurrent connections coalesce into micro-batches:
-//! the batcher drains whatever is queued (capped at
-//! [`ServerConfig::batch_window`]) into one `submit_batch` call, so the
-//! service's phased cache/translate pipeline and admission control see
-//! real batches, not single queries. Results route back to their
-//! connection through per-request channels, in question order.
+//! A wire request is exactly one service batch: admission
+//! (`queue_depth`, tenant quotas) applies to it whole, and its results
+//! come back in question order. A connection serves one request at a
+//! time, so [`ServerConfig::max_connections`] bounds the requests in
+//! flight. Concurrent connections share the process-wide `WorkerPool`;
+//! one that finds the pool busy runs its phases inline.
 //!
 //! # Graceful drain
 //!
@@ -28,9 +27,9 @@
 //!
 //! 1. new connections are *refused with a typed `draining` error*, not
 //!    dropped;
-//! 2. queries already inside the batch queue run to completion with
-//!    correct answers — the batcher only exits once the queue is empty
-//!    and every connection thread has finished;
+//! 2. a request already being served runs to completion on its
+//!    connection thread with correct answers — [`ServerHandle::join`]
+//!    waits for every connection thread;
 //! 3. idle keep-alive connections close at their next read tick; a
 //!    `query` arriving on a live connection after the drain gets the
 //!    typed `draining` error;
@@ -46,11 +45,10 @@
 //! diseases) never reach the log. There are no wall-clock timestamps:
 //! the sequence number orders events and keeps lines deterministic.
 
-use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -60,7 +58,7 @@ use dbpal_util::metrics::{Counter, Histogram};
 use dbpal_util::LogEvent;
 
 use crate::net::protocol::{ErrorKind, QueryOutcome, Request, Response};
-use crate::{QueryService, ServeError, ServeResponse};
+use crate::QueryService;
 
 /// How often an idle connection's read loop wakes to check for drain.
 const IDLE_TICK: Duration = Duration::from_millis(50);
@@ -76,12 +74,9 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
     /// Concurrent-connection bound: connects beyond it are refused with
-    /// a typed `busy` error, never left hanging.
+    /// a typed `busy` error, never left hanging. Each connection serves
+    /// one request at a time, so this also bounds requests in flight.
     pub max_connections: usize,
-    /// Micro-batch cap: at most this many queued questions feed one
-    /// `submit_batch` call. Keep it at or below the service's
-    /// `queue_depth` so batching itself can never shed.
-    pub batch_window: usize,
     /// Per-frame payload cap; oversized frames get a typed refusal and
     /// the connection closes (the stream is desynced past its header).
     pub max_frame_len: usize,
@@ -94,7 +89,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             max_connections: 64,
-            batch_window: 32,
             max_frame_len: frame::DEFAULT_MAX_FRAME_LEN,
             log: false,
         }
@@ -120,20 +114,6 @@ pub struct ServerReport {
     pub metrics_deterministic_json: String,
 }
 
-/// One queued question awaiting the batcher, tagged with its tenant
-/// (already validated against the service's registry).
-struct Job {
-    tenant: String,
-    question: String,
-    slot: usize,
-    tx: mpsc::Sender<(usize, Result<ServeResponse, ServeError>)>,
-}
-
-struct BatchQueue {
-    queue: VecDeque<Job>,
-    stop: bool,
-}
-
 struct ServerMetrics {
     connections: Arc<Counter>,
     refused: Arc<Counter>,
@@ -151,8 +131,6 @@ struct Inner<M: TranslationModel + Send + Sync> {
     log_seq: AtomicU64,
     active_conns: AtomicUsize,
     conn_handles: Mutex<Vec<JoinHandle<()>>>,
-    batch: Mutex<BatchQueue>,
-    batch_cv: Condvar,
     drained: Mutex<bool>,
     drained_cv: Condvar,
     m: ServerMetrics,
@@ -179,8 +157,6 @@ impl<M: TranslationModel + Send + Sync> Inner<M> {
         // leave it inconsistent, so a panicked holder is survivable.
         *self.drained.lock().unwrap_or_else(PoisonError::into_inner) = true;
         self.drained_cv.notify_all();
-        // Wake an idle batcher so it can observe queue-empty + stop later.
-        self.batch_cv.notify_all();
     }
 }
 
@@ -188,12 +164,11 @@ impl<M: TranslationModel + Send + Sync> Inner<M> {
 pub struct ServerHandle<M: TranslationModel + Send + Sync + 'static> {
     inner: Arc<Inner<M>>,
     accept: Option<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
 }
 
 /// Bind and start serving `service` per `config`. Returns immediately;
-/// the accept loop, batcher, and connection threads run in the
-/// background until a drain is triggered and [`ServerHandle::join`]ed.
+/// the accept loop and connection threads run in the background until
+/// a drain is triggered and [`ServerHandle::join`]ed.
 pub fn serve<M: TranslationModel + Send + Sync + 'static>(
     service: QueryService<M>,
     config: ServerConfig,
@@ -216,11 +191,6 @@ pub fn serve<M: TranslationModel + Send + Sync + 'static>(
         log_seq: AtomicU64::new(0),
         active_conns: AtomicUsize::new(0),
         conn_handles: Mutex::new(Vec::new()),
-        batch: Mutex::new(BatchQueue {
-            queue: VecDeque::new(),
-            stop: false,
-        }),
-        batch_cv: Condvar::new(),
         drained: Mutex::new(false),
         drained_cv: Condvar::new(),
         m,
@@ -228,17 +198,13 @@ pub fn serve<M: TranslationModel + Send + Sync + 'static>(
     inner.log(
         LogEvent::new("listening")
             .field("addr", addr.to_string())
-            .num("max_connections", inner.config.max_connections as f64)
-            .num("batch_window", inner.config.batch_window as f64),
+            .num("max_connections", inner.config.max_connections as f64),
     );
-    let batcher_inner = Arc::clone(&inner);
-    let batcher = std::thread::spawn(move || run_batcher(&batcher_inner));
     let accept_inner = Arc::clone(&inner);
     let accept = std::thread::spawn(move || run_accept(&accept_inner, listener));
     Ok(ServerHandle {
         inner,
         accept: Some(accept),
-        batcher: Some(batcher),
     })
 }
 
@@ -254,7 +220,7 @@ impl<M: TranslationModel + Send + Sync + 'static> ServerHandle<M> {
     }
 
     /// Start a graceful drain: stop admitting work, let in-flight
-    /// batches finish. Idempotent; also triggered by the wire
+    /// requests finish. Idempotent; also triggered by the wire
     /// `shutdown` op.
     pub fn trigger_drain(&self) {
         self.inner.trigger_drain();
@@ -296,22 +262,13 @@ impl<M: TranslationModel + Send + Sync + 'static> ServerHandle<M> {
                 let _ = h.join();
             }
         }
-        // 3. The queue is now quiescent: stop and join the batcher.
-        {
-            let mut q = inner.batch.lock().unwrap_or_else(PoisonError::into_inner);
-            q.stop = true;
-        }
-        inner.batch_cv.notify_all();
-        if let Some(b) = self.batcher.take() {
-            let _ = b.join();
-        }
-        // 4. Unblock and join the accept loop.
+        // 3. Unblock and join the accept loop.
         inner.accept_stop.store(true, Ordering::Release);
         let _ = TcpStream::connect(inner.addr);
         if let Some(a) = self.accept.take() {
             let _ = a.join();
         }
-        // 5. Flush.
+        // 4. Flush.
         let report = ServerReport {
             addr: inner.addr,
             connections: inner.m.connections.get(),
@@ -570,7 +527,7 @@ fn handle_frame<M: TranslationModel + Send + Sync + 'static>(
             } else {
                 // Resolve the tenant up front: untagged requests route
                 // to the default tenant; an unknown tenant is a typed
-                // frame-level refusal that never reaches the batcher
+                // frame-level refusal that never reaches the service
                 // (the connection stays usable).
                 let tenant =
                     tenant.unwrap_or_else(|| inner.service.default_tenant_id().to_string());
@@ -591,10 +548,14 @@ fn handle_frame<M: TranslationModel + Send + Sync + 'static>(
                     )
                 } else {
                     inner.m.requests.inc();
-                    let outcomes = inner
-                        .m
-                        .request_latency
-                        .time(|| submit_via_batcher(inner.as_ref(), &tenant, &questions));
+                    let outcomes: Vec<QueryOutcome> = inner.m.request_latency.time(|| {
+                        inner
+                            .service
+                            .submit_batch_for(&tenant, &questions)
+                            .iter()
+                            .map(QueryOutcome::from_result)
+                            .collect()
+                    });
                     let answered = outcomes
                         .iter()
                         .filter(|o| matches!(o, QueryOutcome::Answer { .. }))
@@ -614,85 +575,4 @@ fn handle_frame<M: TranslationModel + Send + Sync + 'static>(
         }
     };
     frame::write_frame(stream, &response.to_bytes()).is_ok() && keep
-}
-
-/// Queue `questions` for the batcher as `tenant` and await their
-/// outcomes in order.
-fn submit_via_batcher<M: TranslationModel + Send + Sync>(
-    inner: &Inner<M>,
-    tenant: &str,
-    questions: &[String],
-) -> Vec<QueryOutcome> {
-    let (tx, rx) = mpsc::channel();
-    {
-        let mut q = inner.batch.lock().unwrap_or_else(PoisonError::into_inner);
-        for (slot, question) in questions.iter().enumerate() {
-            q.queue.push_back(Job {
-                tenant: tenant.to_string(),
-                question: question.clone(),
-                slot,
-                tx: tx.clone(),
-            });
-        }
-    }
-    inner.batch_cv.notify_all();
-    drop(tx);
-    let mut out: Vec<Option<QueryOutcome>> = (0..questions.len()).map(|_| None).collect();
-    for _ in 0..questions.len() {
-        // A closed channel means the batcher died mid-request; the
-        // unanswered slots fail typed below instead of killing the
-        // connection thread.
-        let Ok((slot, result)) = rx.recv() else {
-            break;
-        };
-        if let Some(o) = out.get_mut(slot) {
-            *o = Some(QueryOutcome::from_result(&result));
-        }
-    }
-    out.into_iter()
-        .map(|o| {
-            o.unwrap_or_else(|| QueryOutcome::Failed {
-                kind: "internal".to_string(),
-                message: "internal error: batcher returned no outcome for this query".to_string(),
-            })
-        })
-        .collect()
-}
-
-// ----- batcher ----------------------------------------------------------
-
-/// Drain the queue in micro-batches until stopped *and* empty — a drain
-/// never abandons queued work.
-fn run_batcher<M: TranslationModel + Send + Sync>(inner: &Inner<M>) {
-    loop {
-        let jobs: Vec<Job> = {
-            let mut q = inner.batch.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if !q.queue.is_empty() {
-                    break;
-                }
-                if q.stop {
-                    return;
-                }
-                q = inner
-                    .batch_cv
-                    .wait(q)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            let n = q.queue.len().min(inner.config.batch_window.max(1));
-            q.queue.drain(..n).collect()
-        };
-        // Micro-batches mix tenants freely: the service's sequential
-        // admission and sharded cache keep the mix deterministic.
-        let tagged: Vec<(String, String)> = jobs
-            .iter()
-            .map(|j| (j.tenant.clone(), j.question.clone()))
-            .collect();
-        let results = inner.service.submit_tagged(&tagged);
-        for (job, result) in jobs.into_iter().zip(results) {
-            // A receiver may be gone if its connection died mid-request;
-            // the remaining answers still route.
-            let _ = job.tx.send((job.slot, result));
-        }
-    }
 }

@@ -84,7 +84,9 @@ pub struct ServeConfig {
     /// counters or results.
     pub workers: usize,
     /// Admission-control limit: queries beyond this many in one batch
-    /// are shed with [`ServeError::Overloaded`].
+    /// are shed with [`ServeError::Overloaded`]. Over the network a
+    /// `query` request is one batch, so a request longer than this
+    /// sheds its tail.
     pub queue_depth: usize,
     /// Global capacity of the sharded translation cache, in entries,
     /// shared by all tenants.
@@ -391,10 +393,11 @@ impl<M: TranslationModel + Send + Sync> QueryService<M> {
         self.submit_resolved(items)
     }
 
-    /// Serve a mixed-tenant batch of `(tenant id, question)` pairs —
-    /// what the network batcher feeds after coalescing concurrent
-    /// connections. Results come back in input order; items naming an
-    /// unknown tenant fail typed without consuming admission budget.
+    /// Serve a mixed-tenant batch of `(tenant id, question)` pairs.
+    /// Admission walks the batch in input order, each tenant's quota
+    /// bounding its own items. Results come back in input order; items
+    /// naming an unknown tenant fail typed without consuming admission
+    /// budget.
     pub fn submit_tagged(
         &self,
         items: &[(String, String)],

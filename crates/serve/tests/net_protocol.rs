@@ -194,43 +194,44 @@ fn probes_report_ready_and_untranslatable_questions_fail_typed() {
 
 #[test]
 fn admission_control_sheds_surface_as_overloaded_status() {
-    // Tiny queue depth + batch window above it: one request's tail is
-    // shed by the service and must surface as the distinct overloaded
-    // status, in order, head answered correctly.
-    let depth = 3;
-    let service = QueryService::new(
-        Nlidb::new(hospital_db(), hospital_script()),
-        ServeConfig {
-            workers: 1,
-            queue_depth: depth,
-            ..ServeConfig::default()
-        },
-    );
-    let handle = serve(
-        service,
-        ServerConfig {
-            batch_window: 16,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    let questions: Vec<String> = (0..depth + 2).map(|_| GOOD_QUESTION.to_string()).collect();
-    let outcomes = client.query(&questions).expect("query");
-    assert_eq!(outcomes.len(), depth + 2);
-    for o in &outcomes[..depth] {
-        assert_answer_is_ann(o);
-    }
-    for o in &outcomes[depth..] {
-        match o {
-            QueryOutcome::Overloaded { queue_depth } => {
-                assert_eq!(*queue_depth, depth as u64)
-            }
-            other => panic!("expected overloaded, got {other:?}"),
+    // A wire request is one service batch: the tail past `queue_depth`
+    // is shed by the service and must surface as the distinct
+    // overloaded status, in order, head answered correctly. Inputs:
+    // (serve config, request length) — a tiny depth, and the default
+    // depth under a request longer than it.
+    let inputs = [
+        (
+            ServeConfig {
+                workers: 1,
+                queue_depth: 3,
+                ..ServeConfig::default()
+            },
+            5,
+        ),
+        (ServeConfig::default(), 70),
+    ];
+    for (serve_config, len) in inputs {
+        let depth = serve_config.queue_depth;
+        let service = QueryService::new(Nlidb::new(hospital_db(), hospital_script()), serve_config);
+        let handle = serve(service, ServerConfig::default()).expect("bind");
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        let questions: Vec<String> = (0..len).map(|_| GOOD_QUESTION.to_string()).collect();
+        let outcomes = client.query(&questions).expect("query");
+        assert_eq!(outcomes.len(), len);
+        for o in &outcomes[..depth] {
+            assert_answer_is_ann(o);
         }
+        for (i, o) in outcomes.iter().enumerate().skip(depth) {
+            match o {
+                QueryOutcome::Overloaded { queue_depth } => {
+                    assert_eq!(*queue_depth, depth as u64)
+                }
+                other => panic!("depth {depth}, question {i}: expected overloaded, got {other:?}"),
+            }
+        }
+        drop(client);
+        handle.shutdown();
     }
-    drop(client);
-    handle.shutdown();
 }
 
 #[test]
@@ -350,7 +351,7 @@ fn unknown_tenant_is_a_typed_error_and_the_connection_survives() {
         other => panic!("expected unknown_tenant, got {other:?}"),
     }
     // Same connection keeps working — the refusal happens before the
-    // batcher, like any other bad request.
+    // service, like any other bad request.
     assert_still_serving(&mut client);
 
     drop(client);

@@ -12,10 +12,11 @@
 //!
 //! The contract is identical to `par_map_indexed`: results come back in
 //! input order, workers pull items off a shared atomic cursor, and the
-//! thread count changes only wall-clock time, never output bytes. The
-//! scoped-spawn path remains available (and is the fallback whenever the
-//! pool is busy or the call is nested inside a pool worker), so every
-//! call site degrades gracefully to the poolless behavior.
+//! thread count changes only wall-clock time, never output bytes. After
+//! start-up the pool spawns nothing: a call that finds the pool busy
+//! (another caller's job, or a call nested inside a pool worker) runs
+//! inline on its caller, so concurrent and nested callers never queue,
+//! deadlock, or grow the thread count.
 //!
 //! Panic containment: a panic inside the mapped closure is caught, the
 //! job is cancelled, and the pool's helper threads survive. The panic
@@ -107,7 +108,7 @@ impl Job {
 
 struct State {
     /// The job currently installed, if any. At most one at a time; a
-    /// caller finding the slot occupied falls back to scoped spawning.
+    /// caller finding the slot occupied runs its items inline.
     job: Option<Arc<Job>>,
     /// Bumped on every install so parked helpers can tell a new job from
     /// a spurious wakeup.
@@ -181,9 +182,9 @@ fn helper_loop(shared: &Shared) {
 /// Spawn once (or use [`WorkerPool::global`]), then call
 /// [`map_indexed`](WorkerPool::map_indexed) as many times as you like:
 /// the helpers park between jobs instead of being respawned. One job
-/// runs at a time; overlapping calls (including calls nested inside a
-/// mapped closure, as the hyperparameter sweep does) transparently fall
-/// back to the scoped-spawn path.
+/// runs at a time; an overlapping call (from another thread, or nested
+/// inside a mapped closure, as the hyperparameter sweep does) runs
+/// inline on its caller.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -272,14 +273,17 @@ impl WorkerPool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
+        let inline = || {
+            catch_unwind(AssertUnwindSafe(|| {
+                items.iter().enumerate().map(|(i, t)| f(i, t)).collect()
+            }))
+        };
         let threads = threads.max(1).min(items.len().max(1));
         let max_helpers = threads.saturating_sub(1).min(self.handles.len());
         if max_helpers == 0 || items.len() <= 1 {
             // No helper could participate (single-threaded request, a
-            // trivial list, or a pool sized for one CPU): run inline.
-            return catch_unwind(AssertUnwindSafe(|| {
-                items.iter().enumerate().map(|(i, t)| f(i, t)).collect()
-            }));
+            // trivial list, or a pool sized for one CPU).
+            return inline();
         }
 
         let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
@@ -316,11 +320,10 @@ impl WorkerPool {
             let mut st = self.shared.lock();
             if st.shutdown || st.job.is_some() {
                 // Busy (another caller's job, or this call is nested
-                // inside one of our own workers): degrade to the scoped
-                // fallback rather than queueing, so nesting can never
-                // deadlock.
+                // inside one of our own workers): run inline rather than
+                // queueing or spawning, so nesting can never deadlock.
                 drop(st);
-                return catch_unwind(AssertUnwindSafe(|| par_map_indexed(items, threads, &f)));
+                return inline();
             }
             st.job = Some(Arc::clone(&job));
             st.epoch = st.epoch.wrapping_add(1);

@@ -147,8 +147,8 @@ fn unwinding_panic_carries_original_payload() {
 #[test]
 fn concurrent_external_callers_never_deadlock() {
     // Two threads hammer one pool; whichever loses the install race
-    // must transparently take the scoped fallback and still produce
-    // order-preserving results.
+    // runs its items inline and must still produce order-preserving
+    // results.
     let pool = Arc::new(WorkerPool::new(4));
     let threads: Vec<_> = (0..2)
         .map(|t| {
@@ -170,4 +170,32 @@ fn concurrent_external_callers_never_deadlock() {
     for t in threads {
         t.join().unwrap();
     }
+}
+
+#[test]
+fn nested_call_runs_inline_on_the_calling_worker() {
+    // A call nested inside one of the pool's own jobs finds the install
+    // slot taken: every nested item must run on the thread that made
+    // the call (no spawning), and come back in input order.
+    let pool = WorkerPool::new(4);
+    let outer: Vec<u64> = (0..8).collect();
+    let nested: Vec<u64> = (0..16).collect();
+    pool.map_indexed(&outer, 4, |_, &x| {
+        let caller = std::thread::current().id();
+        let out = pool.map_indexed(&nested, 4, |i, &y| {
+            (std::thread::current().id(), tag(i, y + x))
+        });
+        let expect: Vec<u64> = nested
+            .iter()
+            .enumerate()
+            .map(|(i, &y)| tag(i, y + x))
+            .collect();
+        assert_eq!(out.iter().map(|&(_, v)| v).collect::<Vec<_>>(), expect);
+        for (i, (id, _)) in out.iter().enumerate() {
+            assert_eq!(
+                *id, caller,
+                "outer item {x}: nested item {i} left the calling thread"
+            );
+        }
+    });
 }

@@ -17,7 +17,7 @@ fn main() {
         exp.geo.examples().len()
     );
 
-    let results = exp.run(trials, 42);
+    let results = exp.run(trials, 42, 1);
     for (i, trial) in results.iter().enumerate() {
         println!(
             "  trial {i:>2}: acc {:.3}  (num_para={}, rand_drop_p={:.2}, min_quality={:.2}, slot_fills={})",

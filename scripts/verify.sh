@@ -24,14 +24,14 @@ DBPAL_CHECK_CASES="${DBPAL_CHECK_CASES:-16}"
 export DBPAL_CHECK_CASES
 
 # Static hygiene first: a determinism hazard invalidates everything the
-# test run would tell us about reproducibility. lint_gate (dbpal-lint)
-# lexes every workspace source, applies the L### rule catalog under the
-# justified allowlist (scripts/lint_allowlist.txt), checks for stale
-# entries, and writes BENCH_lint.json for the report lint at the end.
-DBPAL_BENCH_JSON="$PWD/BENCH_lint.json" \
-  cargo run --release --offline -p dbpal-bench --bin lint_gate
+# test run would tell us about reproducibility. The self-lint test
+# (crates/lint/tests/selflint.rs) lexes every workspace source, applies
+# the L### rule catalog under the justified allowlist
+# (scripts/lint_allowlist.txt), fails on any violation or stale entry,
+# and requires a byte-identical report at 1 and 8 threads.
+cargo test -q --offline -p dbpal-lint --test selflint
 cargo fmt --check
-gate_time "lint_gate + fmt"
+gate_time "selflint + fmt"
 
 cargo build --release --offline --workspace
 gate_time "build"
@@ -92,7 +92,7 @@ DBPAL_BENCH_JSON="$PWD/BENCH_corpus.json" \
 gate_time "corpus_gate"
 
 cargo run --release --offline -p dbpal-bench --bin bench_json_lint -- \
-  BENCH_pipeline.json BENCH_serve.json BENCH_lint.json BENCH_corpus.json
+  BENCH_pipeline.json BENCH_serve.json BENCH_corpus.json
 
 # Perf regression gate: the fresh medians must sit within their group's
 # tolerance band (default x3; wider x4 for the whole-run corpus group;

@@ -81,7 +81,7 @@ fn fig4_shape_parameters_matter() {
     // A small random search must show real spread across configurations
     // (the paper's Figure 4 point: ϕ materially affects accuracy).
     let exp = GeoTuningExperiment::new();
-    let results = exp.run(4, 9);
+    let results = exp.run(4, 9, 1);
     let (min, max, mean, _std) = accuracy_stats(&results);
     assert!(max > 0.0, "all trials scored zero");
     assert!(mean > 0.0 && mean <= 1.0);
