@@ -5,7 +5,7 @@
 use dbpal_runtime::{Nlidb, RuntimeError};
 use dbpal_serve::testing::{hospital_db, hospital_question, hospital_script};
 use dbpal_serve::{QueryService, ServeConfig, ServeError};
-use dbpal_util::{check, forall, Rng};
+use dbpal_util::{check, fnv1a, forall, Rng};
 
 fn service(config: ServeConfig) -> QueryService<dbpal_serve::testing::ScriptedModel> {
     QueryService::new(Nlidb::new(hospital_db(), hospital_script()), config)
@@ -200,12 +200,15 @@ fn mixed_workload() -> Vec<String> {
 
 #[test]
 fn deterministic_metrics_identical_at_1_and_8_workers() {
-    // (questions, batch size, hit-rate floor). The seeded run has four
-    // cache keys across 200 questions, so misses can only happen before
-    // a family's first translation lands.
-    for (questions, batch, min_hit_rate) in
-        [(mixed_workload(), 5, 0.0), (seeded_workload(200), 20, 0.8)]
-    {
+    // (questions, batch size, hit-rate floor, export digest). The seeded
+    // run has four cache keys across 200 questions, so misses can only
+    // happen before a family's first translation lands. The digest pins
+    // the pretty deterministic export across commits, not just across
+    // worker counts; re-pin it only with a stated reason.
+    for (questions, batch, min_hit_rate, digest) in [
+        (mixed_workload(), 5, 0.0, 0x7af2385bb832a643),
+        (seeded_workload(200), 20, 0.8, 0x46b66cc313aba840),
+    ] {
         let run = |workers: usize| {
             let svc = service(ServeConfig {
                 workers,
@@ -218,10 +221,16 @@ fn deterministic_metrics_identical_at_1_and_8_workers() {
             svc
         };
         let (one, eight) = (run(1), run(8));
+        let export = one.metrics().to_json_deterministic().pretty();
         assert_eq!(
-            one.metrics().to_json_deterministic().pretty(),
+            export,
             eight.metrics().to_json_deterministic().pretty(),
             "deterministic export diverged across workers"
+        );
+        assert_eq!(
+            fnv1a(export.as_bytes()),
+            digest,
+            "deterministic export changed:\n{export}"
         );
         let hits = counter(&one, "serve.cache.hit");
         let total = questions.len() as u64;
