@@ -324,11 +324,12 @@ pub fn hospital_question(rng: &mut Rng) -> String {
     patient_question(rng, &[80, 35, 64, 20, 47], &["House", "Grey"])
 }
 
-/// A seeded interleaved mixed-tenant workload of `(tenant, question)`
-/// pairs over [`tenant_registry`]'s three tenants, every question
-/// drawn from its tenant's script families with constants that exist
-/// in that tenant's data. Deterministic per seed — the mixed-tenant
-/// tests replay it at different worker counts.
+/// A seeded interleaved workload of `(tenant, question)` pairs over
+/// [`tenant_registry`]'s three tenants, every question drawn from its
+/// tenant's script families with constants that exist in that tenant's
+/// data. Deterministic per seed — the three-tenant determinism test
+/// groups it into per-tenant requests and replays it at different
+/// worker counts.
 pub fn tenant_workload(seed: u64, len: usize) -> Vec<(String, String)> {
     let mut rng = Rng::seed_from_u64(seed);
     (0..len)

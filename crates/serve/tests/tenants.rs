@@ -1,6 +1,7 @@
 //! The multi-tenant serving battery: cross-tenant isolation, per-tenant
 //! metrics, shard-scoped hot-swap (including swaps racing in-flight
-//! batches), noisy-neighbor quotas, and mixed-tenant determinism.
+//! batches), noisy-neighbor quotas, and interleaved-tenant determinism.
+//! Every request names one tenant, as on the wire.
 //!
 //! Built on the `alpha`/`beta`/`gamma` fixture registry: `alpha` and
 //! `beta` share one schema and one script over different rows — the
@@ -101,20 +102,19 @@ fn unknown_tenant_is_typed_and_consumes_no_budget() {
     assert_eq!(counter(&svc, "serve.errors"), 1);
     assert_eq!(counter(&svc, "serve.queries"), 0);
 
-    // Unknown-tenant items occupy their result slot but no admission
-    // budget: with depth 2, both real questions around them still fit.
-    let items = vec![
-        ("alpha".to_string(), INFLUENZA_Q.to_string()),
-        ("nobody".to_string(), INFLUENZA_Q.to_string()),
-        ("beta".to_string(), INFLUENZA_Q.to_string()),
-    ];
-    let results = svc.submit_tagged(&items);
-    assert!(results[0].is_ok());
-    assert!(matches!(
-        results[1].as_ref().unwrap_err(),
-        ServeError::UnknownTenant { .. }
-    ));
-    assert!(results[2].is_ok(), "unknown tenant consumed a budget slot");
+    // A request longer than the queue depth fails every question as
+    // unknown-tenant: none is admitted, so none is shed.
+    let results = svc.submit_batch_for("nobody", &vec![INFLUENZA_Q.to_string(); 3]);
+    assert_eq!(results.len(), 3);
+    for r in &results {
+        assert!(matches!(
+            r.as_ref().unwrap_err(),
+            ServeError::UnknownTenant { .. }
+        ));
+    }
+    assert_eq!(counter(&svc, "serve.errors"), 4);
+    assert_eq!(counter(&svc, "serve.queries"), 0);
+    assert_eq!(counter(&svc, "serve.shed"), 0);
 }
 
 #[test]
@@ -165,7 +165,7 @@ fn hot_swap_is_shard_scoped() {
 
 #[test]
 fn swap_during_a_batch_never_serves_stale_answers() {
-    // A batch holds its tenants' read locks for the whole phased run;
+    // A batch holds its tenant's read lock for the whole phased run;
     // `replace_tenant` takes the write lock. A swap issued mid-batch
     // therefore waits, the in-flight batch answers from the database it
     // started with (a consistent snapshot), and every query after the
@@ -253,8 +253,9 @@ fn swapping_one_tenant_does_not_block_the_others() {
 #[test]
 fn noisy_tenant_sheds_without_touching_its_neighbors() {
     // Alpha gets a per-batch quota of 2; beta and gamma are unlimited.
-    // In an interleaved batch, alpha's third and fourth items shed with
-    // the typed per-tenant error, and every beta/gamma item behaves —
+    // Alpha's four-question request, sent between a beta request and a
+    // gamma request, sheds its third and fourth questions with the
+    // typed per-tenant error, and every beta/gamma question behaves —
     // outcome and counters — exactly as in a control run without alpha.
     let quota_registry = || {
         TenantRegistry::new()
@@ -264,31 +265,37 @@ fn noisy_tenant_sheds_without_touching_its_neighbors() {
     };
     let svc = QueryService::with_tenants(quota_registry(), ServeConfig::default());
 
-    let tag = |t: &str, q: &str| (t.to_string(), q.to_string());
-    let items = vec![
-        tag("alpha", INFLUENZA_Q),
-        tag("beta", INFLUENZA_Q),
-        tag("alpha", "How many patients have asthma?"),
-        tag("gamma", "show the names of all patients"),
-        tag("alpha", "How many patients have malaria?"), // over quota
-        tag("beta", "How many patients have asthma?"),
-        tag("alpha", INFLUENZA_Q), // over quota
-        tag("gamma", "show the names of all patients"),
-    ];
-    let results = svc.submit_tagged(&items);
+    let request = |qs: &[&str]| qs.iter().map(|q| q.to_string()).collect::<Vec<_>>();
+    let beta = request(&[INFLUENZA_Q, "How many patients have asthma?"]);
+    let alpha = request(&[
+        INFLUENZA_Q,
+        "How many patients have asthma?",
+        "How many patients have malaria?", // over quota
+        INFLUENZA_Q,                       // over quota
+    ]);
+    let gamma = request(&["show the names of all patients"; 2]);
+    let beta_results = svc.submit_batch_for("beta", &beta);
+    let alpha_results = svc.submit_batch_for("alpha", &alpha);
+    let gamma_results = svc.submit_batch_for("gamma", &gamma);
 
-    assert!(results[0].is_ok() && results[2].is_ok(), "within quota");
-    for idx in [4, 6] {
+    assert!(
+        alpha_results[0].is_ok() && alpha_results[1].is_ok(),
+        "within quota"
+    );
+    for r in &alpha_results[2..] {
         assert_eq!(
-            results[idx].as_ref().unwrap_err(),
+            r.as_ref().unwrap_err(),
             &ServeError::TenantOverloaded {
                 tenant: "alpha".to_string(),
                 quota: 2
             }
         );
     }
-    for idx in [1, 3, 5, 7] {
-        assert!(results[idx].is_ok(), "neighbor sheds leaked to item {idx}");
+    for (tenant, results) in [("beta", &beta_results), ("gamma", &gamma_results)] {
+        assert!(
+            results.iter().all(|r| r.is_ok()),
+            "neighbor sheds leaked to {tenant}"
+        );
     }
     assert_eq!(counter(&svc, "serve.tenant.alpha.queries"), 2);
     assert_eq!(counter(&svc, "serve.tenant.alpha.shed"), 2);
@@ -296,15 +303,12 @@ fn noisy_tenant_sheds_without_touching_its_neighbors() {
     assert_eq!(counter(&svc, "serve.tenant.gamma.shed"), 0);
     assert_eq!(counter(&svc, "serve.shed"), 2);
 
-    // Control: the same beta/gamma items with no alpha in the batch.
+    // Control: the same beta and gamma requests with no alpha request.
     let control = QueryService::with_tenants(quota_registry(), ServeConfig::default());
-    let neighbor_items: Vec<(String, String)> = items
-        .iter()
-        .filter(|(t, _)| t != "alpha")
-        .cloned()
-        .collect();
-    let control_results = control.submit_tagged(&neighbor_items);
-    assert!(control_results.iter().all(|r| r.is_ok()));
+    for (tenant, questions) in [("beta", &beta), ("gamma", &gamma)] {
+        let results = control.submit_batch_for(tenant, questions);
+        assert!(results.iter().all(|r| r.is_ok()));
+    }
     for name in [
         "serve.tenant.beta.queries",
         "serve.tenant.beta.cache.hit",
@@ -335,12 +339,13 @@ fn quota_resets_between_batches() {
 }
 
 #[test]
-fn mixed_tenant_metrics_identical_at_1_and_8_workers() {
+fn interleaved_tenant_metrics_identical_at_1_and_8_workers() {
     // The tentpole determinism claim: a seeded interleaved three-tenant
     // workload exports byte-identical metrics (global and per-tenant)
     // at any worker count, every tenant sees traffic, and the
     // per-tenant counters add up to the globals. Inputs are
-    // (seed, questions, batch size).
+    // (seed, questions, chunk size); each chunk is served as one
+    // request per tenant.
     for (seed, len, batch) in [(0xD00D, 60, 8), (0x7E4A, 120, 20), (0x7E4A7, 150, 15)] {
         let workload = tenant_workload(seed, len);
         let run = |workers: usize| {
@@ -349,8 +354,15 @@ fn mixed_tenant_metrics_identical_at_1_and_8_workers() {
                 ..ServeConfig::default()
             });
             for chunk in workload.chunks(batch) {
-                let results = svc.submit_tagged(chunk);
-                assert!(results.iter().all(|r| r.is_ok()));
+                for tenant in ["alpha", "beta", "gamma"] {
+                    let questions: Vec<String> = chunk
+                        .iter()
+                        .filter(|(t, _)| t == tenant)
+                        .map(|(_, q)| q.clone())
+                        .collect();
+                    let results = svc.submit_batch_for(tenant, &questions);
+                    assert!(results.iter().all(|r| r.is_ok()));
+                }
             }
             svc
         };
@@ -359,7 +371,7 @@ fn mixed_tenant_metrics_identical_at_1_and_8_workers() {
         assert_eq!(
             export,
             eight.metrics().to_json_deterministic().pretty(),
-            "mixed-tenant export diverged across workers (seed {seed:#x})"
+            "three-tenant export diverged across workers (seed {seed:#x})"
         );
         assert!(export.contains("serve.tenant.alpha.queries"));
         assert!(export.contains("serve.tenant.gamma.cache.miss"));
