@@ -27,10 +27,6 @@ pub struct Seq2SeqConfig {
     pub max_decode_len: usize,
     /// Per-parameter gradient clip (L2).
     pub grad_clip: f32,
-    /// Beam width for decoding; 1 selects greedy decoding. With a wider
-    /// beam, candidates are tried best-first and the first one that
-    /// parses as SQL wins (grammar-validated selection).
-    pub beam_width: usize,
 }
 
 impl Default for Seq2SeqConfig {
@@ -41,7 +37,6 @@ impl Default for Seq2SeqConfig {
             learning_rate: 2e-3,
             max_decode_len: 64,
             grad_clip: 5.0,
-            beam_width: 1,
         }
     }
 }
@@ -347,69 +342,6 @@ impl Seq2SeqModel {
         }
         out
     }
-
-    /// Beam-search decoding: keep the `width` best partial hypotheses,
-    /// return finished hypotheses ordered by length-normalized
-    /// log-probability (best first).
-    fn decode_beam(&self, src: &[usize], width: usize) -> Vec<Vec<usize>> {
-        struct Hyp {
-            tokens: Vec<usize>,
-            h: Vec<f32>,
-            logp: f32,
-            prev: usize,
-        }
-        let h_dim = self.cfg.hidden_dim;
-        let (enc_states, _) = self.encode(src);
-        let h0 = enc_states
-            .last()
-            .cloned()
-            .unwrap_or_else(|| vec![0.0; h_dim]);
-        let mut beams = vec![Hyp {
-            tokens: Vec::new(),
-            h: h0,
-            logp: 0.0,
-            prev: SOS,
-        }];
-        let mut finished: Vec<(Vec<usize>, f32)> = Vec::new();
-        for _ in 0..self.cfg.max_decode_len {
-            if beams.is_empty() || finished.len() >= width * 4 {
-                break;
-            }
-            let mut candidates: Vec<Hyp> = Vec::new();
-            for beam in &beams {
-                let (h_new, probs) = self.decode_step(beam.prev, &beam.h, &enc_states);
-                // Top `width` continuations of this hypothesis.
-                let mut order: Vec<usize> = (0..probs.len()).collect();
-                order.sort_by(|&a, &b| probs[b].total_cmp(&probs[a]));
-                for &tok in order.iter().take(width) {
-                    let logp = beam.logp + probs[tok].max(1e-12).ln();
-                    if tok == EOS {
-                        let norm = logp / (beam.tokens.len() as f32 + 1.0);
-                        finished.push((beam.tokens.clone(), norm));
-                    } else {
-                        let mut tokens = beam.tokens.clone();
-                        tokens.push(tok);
-                        candidates.push(Hyp {
-                            tokens,
-                            h: h_new.clone(),
-                            logp,
-                            prev: tok,
-                        });
-                    }
-                }
-            }
-            candidates.sort_by(|a, b| b.logp.total_cmp(&a.logp));
-            candidates.truncate(width);
-            beams = candidates;
-        }
-        // Unfinished hypotheses still count, ranked after normalization.
-        for beam in beams {
-            let norm = beam.logp / (beam.tokens.len() as f32 + 1.0);
-            finished.push((beam.tokens, norm));
-        }
-        finished.sort_by(|a, b| b.1.total_cmp(&a.1));
-        finished.into_iter().map(|(t, _)| t).collect()
-    }
 }
 
 impl TranslationModel for Seq2SeqModel {
@@ -465,20 +397,6 @@ impl TranslationModel for Seq2SeqModel {
             return None;
         }
         let src = self.src_vocab.encode(nl_lemmas);
-        if self.cfg.beam_width > 1 {
-            // Grammar-validated beam search: best-first, first parseable
-            // hypothesis wins.
-            for ids in self.decode_beam(&src, self.cfg.beam_width) {
-                let tokens = self.tgt_vocab.decode(&ids);
-                if tokens.is_empty() {
-                    continue;
-                }
-                if let Ok(q) = parse_query(&tokens.join(" ")) {
-                    return Some(q);
-                }
-            }
-            return None;
-        }
         let ids = self.decode_greedy(&src);
         let tokens = self.tgt_vocab.decode(&ids);
         if tokens.is_empty() {
@@ -537,7 +455,6 @@ mod tests {
             learning_rate: 5e-3,
             max_decode_len: 32,
             grad_clip: 5.0,
-            beam_width: 1,
         })
     }
 
@@ -601,51 +518,6 @@ mod tests {
         m.train(&tiny_corpus(), &TrainOptions::fast());
         // Unknown words map to <unk>; translation must not panic.
         let _ = m.translate(&["frobnicate".into(), "the".into(), "zork".into()]);
-    }
-
-    #[test]
-    fn beam_search_matches_or_beats_greedy_on_memorized_data() {
-        let corpus = tiny_corpus();
-        let opts = TrainOptions {
-            epochs: 60,
-            seed: 2,
-            max_pairs: None,
-            verbose: false,
-        };
-        let mut greedy = small_model();
-        greedy.train(&corpus, &opts);
-        let mut beam = small_model();
-        beam.cfg.beam_width = 4;
-        beam.train(&corpus, &opts);
-        let lem = Lemmatizer::new();
-        let score = |m: &Seq2SeqModel| {
-            corpus
-                .pairs()
-                .iter()
-                .filter(|p| {
-                    m.translate(&lem.lemmatize_sentence(&p.nl))
-                        .is_some_and(|q| dbpal_sql::exact_set_match(&q, &p.sql))
-                })
-                .count()
-        };
-        // Beam reranking trades exactness for guaranteed grammaticality;
-        // on memorized data it must stay in the same ballpark as greedy.
-        let (b, g) = (score(&beam), score(&greedy));
-        assert!(b + 2 >= g, "beam {b} fell too far below greedy {g}");
-        assert!(
-            b >= corpus.len() / 2,
-            "beam only memorized {b}/{}",
-            corpus.len()
-        );
-    }
-
-    #[test]
-    fn beam_returns_parseable_or_nothing() {
-        let mut m = small_model();
-        m.cfg.beam_width = 3;
-        m.train(&tiny_corpus(), &TrainOptions::fast());
-        // Whatever comes back must be a valid Query by construction.
-        let _ = m.translate(&["show".into(), "patient".into()]);
     }
 
     #[test]
