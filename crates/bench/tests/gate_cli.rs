@@ -8,7 +8,6 @@ use std::process::Command;
 #[test]
 fn unknown_argument_is_a_usage_error() {
     for bin in [
-        env!("CARGO_BIN_EXE_fuzz_smoke"),
         env!("CARGO_BIN_EXE_load_gate"),
         env!("CARGO_BIN_EXE_corpus_gate"),
     ] {
@@ -23,10 +22,10 @@ fn unknown_argument_is_a_usage_error() {
 }
 
 #[test]
-fn malformed_fuzz_budget_exits_before_fuzzing() {
-    let out = Command::new(env!("CARGO_BIN_EXE_fuzz_smoke"))
-        .env("DBPAL_FUZZ_ITERS", "20k")
-        .env_remove("DBPAL_FUZZ_SEED")
+fn malformed_pair_target_exits_before_streaming() {
+    let out = Command::new(env!("CARGO_BIN_EXE_corpus_gate"))
+        .arg("--quick")
+        .env("DBPAL_CORPUS_PAIRS", "10k")
         .output()
         .unwrap();
     let (stdout, stderr) = (
@@ -35,8 +34,8 @@ fn malformed_fuzz_budget_exits_before_fuzzing() {
     );
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(
-        stderr.contains("DBPAL_FUZZ_ITERS=`20k`"),
+        stderr.contains("DBPAL_CORPUS_PAIRS=`10k`"),
         "stderr: {stderr}"
     );
-    assert!(stdout.is_empty(), "fuzzing started: {stdout}");
+    assert!(stdout.is_empty(), "streaming started: {stdout}");
 }

@@ -1,17 +1,31 @@
 use dbpal_fuzz::{run_fuzz, FuzzCase, FuzzConfig, SchemaSpec};
 use dbpal_schema::{SqlType, Value};
 
+/// The env knob `var` parsed as `T`, or `default` when unset. A set
+/// value that does not parse fails the run and names the variable.
+fn knob<T: std::str::FromStr>(var: &str, default: T) -> T {
+    match std::env::var(var) {
+        Ok(raw) => raw
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("{var}=`{raw}` does not parse as a decimal number")),
+        Err(std::env::VarError::NotPresent) => default,
+        Err(e) => panic!("{var}: {e}"),
+    }
+}
+
+/// A longer seeded fuzz run than the smoke test's budget, printing the
+/// first findings. `SEED` and `ITERS` (decimal) pick the seed and the
+/// budget:
+///
+/// ```text
+/// ITERS=20000 cargo test --release -p dbpal-fuzz --test explore -- --ignored --nocapture
+/// ```
 #[test]
 #[ignore]
 fn explore() {
-    let seed: u64 = std::env::var("SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xDBA1);
-    let iters: usize = std::env::var("ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2000);
+    let seed: u64 = knob("SEED", 0xDBA1);
+    let iters: usize = knob("ITERS", 2000);
     let report = run_fuzz(&FuzzConfig::new(seed, iters, 8));
     println!(
         "== {} findings over {} iters (seed {seed:#x})",

@@ -1,31 +1,46 @@
-//! Seeded fuzz smoke: a fixed budget of iterations must come back clean,
-//! and the report must be byte-identical regardless of worker threads.
+//! Seeded fuzz smoke over the three differential oracles (roundtrip,
+//! canonicalizer soundness, analyzer coherence): a fixed budget of
+//! iterations must come back clean at 1 and 8 worker threads, and the
+//! report must be byte-identical at both. Longer runs go through the
+//! ignored `explore` test (see its docs).
 
 use dbpal_fuzz::{run_fuzz, run_iteration, FuzzConfig};
 
 const SEED: u64 = 0xDBA1;
-const ITERS: usize = 64;
+const ITERS: usize = 200;
 
 #[test]
 fn seeded_smoke_finds_nothing() {
-    let report = run_fuzz(&FuzzConfig::new(SEED, ITERS, 2));
-    let details: Vec<String> = report
-        .findings
-        .iter()
-        .map(|f| format!("iter {} [{}]: {}", f.iteration, f.oracle, f.detail))
-        .collect();
-    assert!(
-        report.findings.is_empty(),
-        "fuzz smoke found violations:\n{}",
-        details.join("\n")
-    );
+    for threads in [1, 8] {
+        let report = run_fuzz(&FuzzConfig::new(SEED, ITERS, threads));
+        let details: Vec<String> = report
+            .findings
+            .iter()
+            .map(|f| {
+                format!(
+                    "iter {} [{}]\n  sql: {}\n  minimized: {}\n  {}\n  corpus case:\n{}",
+                    f.iteration,
+                    f.oracle,
+                    f.sql,
+                    f.minimized,
+                    f.detail,
+                    f.case.to_json()
+                )
+            })
+            .collect();
+        assert!(
+            report.findings.is_empty(),
+            "fuzz smoke found violations at {threads} threads:\n{}",
+            details.join("\n")
+        );
+    }
 }
 
 #[test]
 fn report_is_thread_count_invariant() {
     let one = run_fuzz(&FuzzConfig::new(SEED, ITERS, 1));
-    let three = run_fuzz(&FuzzConfig::new(SEED, ITERS, 3));
-    assert_eq!(one.to_json(), three.to_json());
+    let eight = run_fuzz(&FuzzConfig::new(SEED, ITERS, 8));
+    assert_eq!(one.to_json(), eight.to_json());
 }
 
 #[test]

@@ -35,23 +35,18 @@ gate_time "selflint + fmt"
 
 cargo build --release --offline --workspace
 gate_time "build"
-# The test suite also holds the serving and analyzer checks: seeded
-# single- and mixed-tenant workloads exporting byte-identical metrics at
-# 1 vs 8 workers with hit-rate, shed and per-tenant counter asserts
-# (crates/serve/tests/{serve,tenants}.rs), exact typed sheds under
-# saturation and tenant quotas, shard-scoped hot-swaps, and clean
-# Reject-policy generation (crates/core/tests/proptest_analyze.rs).
+# The test suite also holds the serving, analyzer and fuzz checks:
+# seeded single- and three-tenant workloads exporting byte-identical
+# metrics at 1 vs 8 workers with hit-rate, shed and per-tenant counter
+# asserts and a pinned export digest (crates/serve/tests/{serve,
+# tenants}.rs), exact typed sheds under saturation and tenant quotas,
+# shard-scoped hot-swaps, clean Reject-policy generation
+# (crates/core/tests/proptest_analyze.rs), and a seeded 200-iteration
+# fuzz run over the three differential oracles that must come back
+# clean and byte-identical at 1 and 8 threads
+# (crates/fuzz/tests/fuzz_smoke.rs).
 cargo test -q --offline --workspace
 gate_time "test"
-
-# Seeded fixed-budget fuzz over the three differential oracles
-# (roundtrip, canonicalizer soundness, analyzer coherence). Runs the
-# same budget at 1 and 8 worker threads and requires byte-identical
-# reports; any finding prints its minimized corpus case and fails.
-# DBPAL_FUZZ_ITERS (default 200) and DBPAL_FUZZ_SEED override the budget
-# and seed; a malformed value exits 2 before any fuzzing.
-cargo run --release --offline -p dbpal-bench --bin fuzz_smoke
-gate_time "fuzz_smoke"
 
 # Machine-readable perf trajectory: regenerate the bench reports in
 # quick mode and lint them against the schema in DESIGN.md with the
