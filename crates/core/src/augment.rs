@@ -15,7 +15,6 @@ pub struct Augmenter<'a> {
     store: ParaphraseStore,
     comparatives: ComparativeDictionary,
     tagger: PosTagger,
-    rng: Rng,
 }
 
 impl<'a> Augmenter<'a> {
@@ -27,7 +26,6 @@ impl<'a> Augmenter<'a> {
             store: ParaphraseStore::new(),
             comparatives: ComparativeDictionary::new(),
             tagger: PosTagger::new(),
-            rng: Rng::seed_from_u64(config.seed ^ 0xA0A0_A0A0),
         }
     }
 
@@ -58,13 +56,6 @@ impl<'a> Augmenter<'a> {
 
     /// Automatic paraphrasing (§3.2.1): replace random subclauses of size
     /// up to `size_para` with up to `num_para` paraphrases from the store.
-    pub fn paraphrase(&mut self, pair: &TrainingPair) -> Vec<TrainingPair> {
-        let mut rng = self.rng.clone();
-        let out = self.paraphrase_with(pair, &mut rng);
-        self.rng = rng;
-        out
-    }
-
     fn paraphrase_with(&self, pair: &TrainingPair, rng: &mut Rng) -> Vec<TrainingPair> {
         if self.config.num_para == 0 {
             return Vec::new();
@@ -127,13 +118,6 @@ impl<'a> Augmenter<'a> {
     /// random words removed. Placeholders are never dropped, and when
     /// `pos_gated_dropout` is set only function-word classes are eligible
     /// (the §3.2.3 extension).
-    pub fn drop_words(&mut self, pair: &TrainingPair) -> Vec<TrainingPair> {
-        let mut rng = self.rng.clone();
-        let out = self.drop_words_with(pair, &mut rng);
-        self.rng = rng;
-        out
-    }
-
     fn drop_words_with(&self, pair: &TrainingPair, rng: &mut Rng) -> Vec<TrainingPair> {
         if self.config.num_missing == 0 || !rng.gen_bool(self.config.rand_drop_p) {
             return Vec::new();
@@ -185,13 +169,6 @@ impl<'a> Augmenter<'a> {
     /// column's domain is known, and additionally elide the attribute
     /// name before a domain phrase ("age older than @AGE" → "older than
     /// @AGE"), modelling implicit attribute references.
-    pub fn comparative_variants(&mut self, pair: &TrainingPair) -> Vec<TrainingPair> {
-        let mut rng = self.rng.clone();
-        let out = self.comparative_variants_with(pair, &mut rng);
-        self.rng = rng;
-        out
-    }
-
     fn comparative_variants_with(&self, pair: &TrainingPair, rng: &mut Rng) -> Vec<TrainingPair> {
         let Some(domain) = self.single_comparison_domain(pair) else {
             return Vec::new();
@@ -324,16 +301,22 @@ mod tests {
         TrainingPair::new(nl, parse_query(sql).unwrap(), "t", Provenance::Seed)
     }
 
+    /// A fresh RNG for one direct call of an augmentation step, seeded
+    /// from `config` the way `augment` seeds its per-pair streams.
+    fn rng(config: &GenerationConfig) -> Rng {
+        Rng::seed_from_u64(config.seed ^ 0xA0A0_A0A0)
+    }
+
     #[test]
     fn paraphrases_known_unigrams() {
         let schema = schema();
         let config = GenerationConfig::default();
-        let mut aug = Augmenter::new(&schema, &config);
+        let aug = Augmenter::new(&schema, &config);
         let p = pair(
             "show the name of all patients with age @AGE",
             "SELECT name FROM patients WHERE age = @AGE",
         );
-        let out = aug.paraphrase(&p);
+        let out = aug.paraphrase_with(&p, &mut rng(&config));
         assert!(!out.is_empty());
         // The paper's example: "Show the names..." -> "Display the names...".
         assert!(
@@ -355,9 +338,9 @@ mod tests {
             num_para: 0,
             ..Default::default()
         };
-        let mut aug = Augmenter::new(&schema, &config);
+        let aug = Augmenter::new(&schema, &config);
         let p = pair("show the name", "SELECT name FROM patients");
-        assert!(aug.paraphrase(&p).is_empty());
+        assert!(aug.paraphrase_with(&p, &mut rng(&config)).is_empty());
     }
 
     #[test]
@@ -373,8 +356,12 @@ mod tests {
             ..strict.clone()
         };
         let p = pair("show the name of all patients", "SELECT name FROM patients");
-        let n_strict = Augmenter::new(&schema, &strict).paraphrase(&p).len();
-        let n_loose = Augmenter::new(&schema, &loose).paraphrase(&p).len();
+        let n_strict = Augmenter::new(&schema, &strict)
+            .paraphrase_with(&p, &mut rng(&strict))
+            .len();
+        let n_loose = Augmenter::new(&schema, &loose)
+            .paraphrase_with(&p, &mut rng(&loose))
+            .len();
         assert!(n_loose > n_strict);
     }
 
@@ -396,8 +383,8 @@ mod tests {
             "how many patients are there",
             "SELECT COUNT(*) FROM patients",
         );
-        let uni_out = Augmenter::new(&schema, &uni).paraphrase(&p);
-        let bi_out = Augmenter::new(&schema, &bi).paraphrase(&p);
+        let uni_out = Augmenter::new(&schema, &uni).paraphrase_with(&p, &mut rng(&uni));
+        let bi_out = Augmenter::new(&schema, &bi).paraphrase_with(&p, &mut rng(&bi));
         let has_bigram_swap =
             |v: &[TrainingPair]| v.iter().any(|q| q.nl.contains("what number of"));
         assert!(!has_bigram_swap(&uni_out));
@@ -420,8 +407,8 @@ mod tests {
         // multi-word "count off"-style entries; POS filtering must never
         // *add* alternatives, and the surviving ones must stay verbs.
         let p = pair("show the name of all patients", "SELECT name FROM patients");
-        let plain_out = Augmenter::new(&schema, &plain).paraphrase(&p);
-        let pos_out = Augmenter::new(&schema, &pos_aware).paraphrase(&p);
+        let plain_out = Augmenter::new(&schema, &plain).paraphrase_with(&p, &mut rng(&plain));
+        let pos_out = Augmenter::new(&schema, &pos_aware).paraphrase_with(&p, &mut rng(&pos_aware));
         assert!(pos_out.len() <= plain_out.len());
         assert!(pos_out.iter().any(|q| q.nl.starts_with("display")));
     }
@@ -434,12 +421,12 @@ mod tests {
             num_missing: 4,
             ..Default::default()
         };
-        let mut aug = Augmenter::new(&schema, &config);
+        let aug = Augmenter::new(&schema, &config);
         let p = pair(
             "show the name of patients with age @AGE",
             "SELECT name FROM patients WHERE age = @AGE",
         );
-        let out = aug.drop_words(&p);
+        let out = aug.drop_words_with(&p, &mut rng(&config));
         assert!(!out.is_empty());
         for q in &out {
             assert!(q.nl.contains("@AGE"), "placeholder dropped in `{}`", q.nl);
@@ -455,9 +442,9 @@ mod tests {
             rand_drop_p: 0.0,
             ..Default::default()
         };
-        let mut aug = Augmenter::new(&schema, &config);
+        let aug = Augmenter::new(&schema, &config);
         let p = pair("show the name of patients", "SELECT name FROM patients");
-        assert!(aug.drop_words(&p).is_empty());
+        assert!(aug.drop_words_with(&p, &mut rng(&config)).is_empty());
     }
 
     #[test]
@@ -469,12 +456,12 @@ mod tests {
             pos_gated_dropout: true,
             ..Default::default()
         };
-        let mut aug = Augmenter::new(&schema, &config);
+        let aug = Augmenter::new(&schema, &config);
         let p = pair(
             "show the name of all patients with age @AGE",
             "SELECT name FROM patients WHERE age = @AGE",
         );
-        for q in aug.drop_words(&p) {
+        for q in aug.drop_words_with(&p, &mut rng(&config)) {
             // Content words must survive.
             for w in ["name", "patients", "age"] {
                 assert!(q.nl.contains(w), "content word {w} dropped in `{}`", q.nl);
@@ -486,12 +473,12 @@ mod tests {
     fn comparative_substitution_uses_domain() {
         let schema = schema();
         let config = GenerationConfig::default();
-        let mut aug = Augmenter::new(&schema, &config);
+        let aug = Augmenter::new(&schema, &config);
         let p = pair(
             "show the name of patients with age greater than @AGE",
             "SELECT name FROM patients WHERE age > @AGE",
         );
-        let out = aug.comparative_variants(&p);
+        let out = aug.comparative_variants_with(&p, &mut rng(&config));
         assert!(
             out.iter().any(|q| {
                 q.nl.contains("older than")
@@ -524,12 +511,14 @@ mod tests {
             .build()
             .unwrap();
         let config = GenerationConfig::default();
-        let mut aug = Augmenter::new(&schema, &config);
+        let aug = Augmenter::new(&schema, &config);
         let p = pair(
             "show a of t with n greater than @N",
             "SELECT a FROM t WHERE n > @N",
         );
-        assert!(aug.comparative_variants(&p).is_empty());
+        assert!(aug
+            .comparative_variants_with(&p, &mut rng(&config))
+            .is_empty());
     }
 
     #[test]
