@@ -30,10 +30,11 @@ pub enum ServeError {
     },
     /// The admitted query failed inside the NLIDB runtime.
     Runtime(RuntimeError),
-    /// The service's own state was unusable for this query — e.g. a
-    /// tenant lock poisoned by a panicked writer. The failure is scoped
-    /// to the query that observed it: the process, the connection, and
-    /// every other tenant keep serving.
+    /// The service's own state was unusable for this request — e.g. its
+    /// tenant's lock poisoned by a panicked writer. The failure is
+    /// scoped to the request that observed it: its admitted questions
+    /// fail, while the process, the connection, and every other tenant
+    /// keep serving.
     Internal {
         /// What was broken, for the error response and the logs.
         detail: String,

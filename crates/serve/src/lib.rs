@@ -10,10 +10,13 @@
 //!   its own [`dbpal_runtime::Nlidb`] (schema, database, annotations),
 //!   with per-tenant metrics, per-tenant admission quotas (typed
 //!   [`ServeError::TenantOverloaded`] sheds), and shard-scoped
-//!   database hot-swap ([`QueryService::replace_tenant`]);
-//! * **admission control** — batches beyond the configured queue depth
-//!   shed their tail with a typed [`ServeError::Overloaded`], never a
-//!   panic;
+//!   database hot-swap ([`QueryService::replace_tenant`]). A batch is
+//!   one tenant's request ([`QueryService::submit_batch_for`]), served
+//!   under that tenant's read lock;
+//! * **admission control** — a batch admits its first
+//!   `min(quota, queue_depth)` questions and sheds the tail with a
+//!   typed [`ServeError::TenantOverloaded`] or
+//!   [`ServeError::Overloaded`], never a panic;
 //! * **a sharded LRU translation cache** ([`ShardedCache`], one shard
 //!   per tenant under one global budget with global-recency eviction)
 //!   keyed on the anonymized + lemmatized token string, so questions
