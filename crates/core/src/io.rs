@@ -9,16 +9,24 @@
 //! * **JSONL** (one compact JSON object per line) — the streaming
 //!   export format written by [`crate::stream::JsonlSink`]: each line is
 //!   a full-fidelity pair record, so corpora larger than memory can be
-//!   written, concatenated, and re-imported incrementally.
+//!   written, concatenated, and re-imported incrementally. Lines are
+//!   encoded field by field straight into the caller's buffer, with the
+//!   same escaper and the same bytes as the compact rendering of the
+//!   JSON record; import goes back through the JSON parser.
 //! * **TSV** (`nl<TAB>sql` per line) — the minimal format for *manually
 //!   curated* pairs, which "can still be used to complement our proposed
 //!   data generation pipeline" (paper §1). Imported pairs get
 //!   [`Provenance::Manual`] and are lemmatized on load.
+//!
+//! Both JSON importers reject a record whose provenance is not one of
+//! the [`Provenance::label`] values.
 
 use crate::{Provenance, TrainingCorpus, TrainingPair};
 use dbpal_nlp::Lemmatizer;
 use dbpal_sql::parse_query;
+use dbpal_util::json::escape_into;
 use dbpal_util::Json;
+use std::fmt::{self, Write as _};
 
 /// Serialized form of one pair.
 #[derive(Debug, Clone)]
@@ -27,7 +35,7 @@ struct PairRecord {
     nl_lemmas: Vec<String>,
     sql: String,
     template_id: String,
-    provenance: String,
+    provenance: Provenance,
 }
 
 impl PairRecord {
@@ -37,7 +45,7 @@ impl PairRecord {
             nl_lemmas: p.nl_lemmas.clone(),
             sql: p.sql_text(),
             template_id: p.template_id.clone(),
-            provenance: provenance_label(p.provenance).to_string(),
+            provenance: p.provenance,
         }
     }
 
@@ -48,12 +56,7 @@ impl PairRecord {
             line: record,
             detail: format!("{e} in `{}`", self.sql),
         })?;
-        let mut pair = TrainingPair::new(
-            self.nl,
-            sql,
-            self.template_id,
-            provenance_from_label(&self.provenance),
-        );
+        let mut pair = TrainingPair::new(self.nl, sql, self.template_id, self.provenance);
         pair.nl_lemmas = self.nl_lemmas;
         Ok(pair)
     }
@@ -67,7 +70,7 @@ impl PairRecord {
             ),
             ("sql".into(), Json::str(self.sql.clone())),
             ("template_id".into(), Json::str(self.template_id.clone())),
-            ("provenance".into(), Json::str(self.provenance.clone())),
+            ("provenance".into(), Json::str(self.provenance.label())),
         ])
     }
 
@@ -94,12 +97,16 @@ impl PairRecord {
                 })
             })
             .collect::<Result<Vec<String>, CorpusIoError>>()?;
+        let label = field_str("provenance")?;
+        let provenance = Provenance::from_label(&label).ok_or_else(|| {
+            CorpusIoError::Json(format!("record {record}: unknown provenance `{label}`"))
+        })?;
         Ok(PairRecord {
             nl: field_str("nl")?,
             nl_lemmas: lemmas,
             sql: field_str("sql")?,
             template_id: field_str("template_id")?,
-            provenance: field_str("provenance")?,
+            provenance,
         })
     }
 }
@@ -141,20 +148,6 @@ impl std::fmt::Display for CorpusIoError {
 
 impl std::error::Error for CorpusIoError {}
 
-fn provenance_label(p: Provenance) -> &'static str {
-    p.label()
-}
-
-fn provenance_from_label(label: &str) -> Provenance {
-    match label {
-        "paraphrased" => Provenance::Paraphrased,
-        "dropped" => Provenance::Dropped,
-        "comparative" => Provenance::Comparative,
-        "manual" => Provenance::Manual,
-        _ => Provenance::Seed,
-    }
-}
-
 /// Export a corpus as pretty JSON. Output is deterministic: the same
 /// corpus always serializes to byte-identical text.
 pub fn corpus_to_json(corpus: &TrainingCorpus) -> Result<String, CorpusIoError> {
@@ -191,7 +184,42 @@ pub fn corpus_from_json(json: &str) -> Result<TrainingCorpus, CorpusIoError> {
 /// always encodes to the same text, which is what lets the streaming
 /// sinks digest their output and pin it in tests.
 pub fn pair_to_jsonl(pair: &TrainingPair) -> String {
-    PairRecord::from_pair(pair).to_json().compact()
+    let mut out = String::new();
+    write_pair_jsonl(pair, &mut out);
+    out
+}
+
+/// Append [`pair_to_jsonl`]'s line to `out`: the fields of
+/// `PairRecord::to_json`, in its order, each escaped as
+/// [`Json::compact`] escapes it. The SQL is escaped as its `Display`
+/// impl prints it, so its text is never built on its own.
+pub(crate) fn write_pair_jsonl(pair: &TrainingPair, out: &mut String) {
+    out.push_str("{\"nl\":\"");
+    escape_into(out, &pair.nl);
+    out.push_str("\",\"nl_lemmas\":[");
+    for (i, lemma) in pair.nl_lemmas.iter().enumerate() {
+        out.push_str(if i == 0 { "\"" } else { ",\"" });
+        escape_into(out, lemma);
+        out.push('"');
+    }
+    out.push_str("],\"sql\":\"");
+    let _ = write!(Escaped(out), "{}", pair.sql);
+    out.push_str("\",\"template_id\":\"");
+    escape_into(out, &pair.template_id);
+    out.push_str("\",\"provenance\":\"");
+    escape_into(out, pair.provenance.label());
+    out.push_str("\"}");
+}
+
+/// A `fmt::Write` that JSON-escapes everything written through it into
+/// the wrapped string.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(self.0, s);
+        Ok(())
+    }
 }
 
 /// Import a corpus from JSONL text (one [`pair_to_jsonl`] record per
@@ -380,6 +408,44 @@ mod tests {
             corpus_from_jsonl(bad_sql),
             Err(CorpusIoError::BadSql { line: 1, .. })
         ));
+    }
+
+    /// The direct encoder must write the bytes of the compact JSON
+    /// record, escapes included, and its line must import back into the
+    /// same pair.
+    #[test]
+    fn jsonl_encoder_matches_compact_record() {
+        const AWKWARD: &str = "\" \\ \n \t \u{1} \u{1F} \u{7F} é 你 🚀";
+        let sql =
+            parse_query(r#"SELECT name FROM patients WHERE name = 'O''Brien "q" \ x'"#).unwrap();
+        let mut awkward = TrainingPair::new(
+            format!("show {AWKWARD} names"),
+            sql.clone(),
+            format!("t{AWKWARD}"),
+            Provenance::Comparative,
+        );
+        awkward.nl_lemmas = vec!["show".into(), AWKWARD.into(), "name".into()];
+        let mut empty_lemma = TrainingPair::new("a  b", sql.clone(), "t", Provenance::Manual);
+        empty_lemma.nl_lemmas = vec!["a".into(), String::new(), "b".into()];
+        let no_lemmas = TrainingPair::new(AWKWARD, sql, "", Provenance::Dropped);
+        for pair in [awkward, empty_lemma, no_lemmas] {
+            let line = pair_to_jsonl(&pair);
+            assert_eq!(line, PairRecord::from_pair(&pair).to_json().compact());
+            assert!(!line.contains('\n'), "one line per pair: {line}");
+            let back = corpus_from_jsonl(&line).unwrap();
+            assert_eq!(back.pairs(), [pair]);
+        }
+    }
+
+    #[test]
+    fn unknown_provenance_rejected() {
+        let record = r#"{"nl":"x","nl_lemmas":[],"sql":"SELECT * FROM t","template_id":"t","provenance":"bogus"}"#;
+        let expected = CorpusIoError::Json("record 1: unknown provenance `bogus`".into());
+        assert_eq!(corpus_from_jsonl(record).unwrap_err(), expected);
+        assert_eq!(
+            corpus_from_json(&format!("[{record}]")).unwrap_err(),
+            expected
+        );
     }
 
     #[test]

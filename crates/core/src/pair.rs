@@ -22,6 +22,15 @@ pub enum Provenance {
 }
 
 impl Provenance {
+    /// Every provenance, in declaration order.
+    const ALL: [Provenance; 5] = [
+        Provenance::Seed,
+        Provenance::Paraphrased,
+        Provenance::Dropped,
+        Provenance::Comparative,
+        Provenance::Manual,
+    ];
+
     /// Stable lowercase label.
     pub fn label(self) -> &'static str {
         match self {
@@ -31,6 +40,12 @@ impl Provenance {
             Provenance::Comparative => "comparative",
             Provenance::Manual => "manual",
         }
+    }
+
+    /// The provenance whose [`Provenance::label`] is `label`, or `None`
+    /// for any other text.
+    pub fn from_label(label: &str) -> Option<Provenance> {
+        Provenance::ALL.into_iter().find(|p| p.label() == label)
     }
 }
 
@@ -218,6 +233,22 @@ mod tests {
         let counts = c.provenance_counts();
         assert_eq!(counts[&Provenance::Seed], 2);
         assert_eq!(counts[&Provenance::Paraphrased], 1);
+    }
+
+    #[test]
+    fn provenance_labels_round_trip() {
+        for p in [
+            Provenance::Seed,
+            Provenance::Paraphrased,
+            Provenance::Dropped,
+            Provenance::Comparative,
+            Provenance::Manual,
+        ] {
+            assert_eq!(Provenance::from_label(p.label()), Some(p));
+        }
+        for bad in ["", "bogus", "Seed", " seed"] {
+            assert_eq!(Provenance::from_label(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

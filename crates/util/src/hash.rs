@@ -54,6 +54,15 @@ impl Default for Fnv1a {
     }
 }
 
+/// Absorbs formatted text, so `write!(h, "{value}")` hashes exactly the
+/// bytes `value.to_string()` would hold without building that string.
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,6 +83,29 @@ mod tests {
             h.update(chunk);
         }
         assert_eq!(h.finish(), fnv1a(data));
+    }
+
+    #[test]
+    fn formatted_writes_hash_the_display_bytes() {
+        use std::fmt::{self, Write as _};
+        // A value whose `Display` emits many pieces, as a query does.
+        struct Query;
+        impl fmt::Display for Query {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str("SELECT ")?;
+                for (i, col) in ["name", "age"].iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(", ")?;
+                    }
+                    write!(f, "{col}")?;
+                }
+                write!(f, " FROM t WHERE age > {} AND x = {:.1}", 42, 0.5)
+            }
+        }
+        let q = Query;
+        let mut h = Fnv1a::new();
+        write!(h, "{q}").unwrap();
+        assert_eq!(h.finish(), fnv1a(q.to_string().as_bytes()));
     }
 
     #[test]

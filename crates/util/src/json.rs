@@ -223,24 +223,43 @@ fn write_number(out: &mut String, n: f64) {
 }
 
 fn write_string(out: &mut String, s: &str) {
-    use fmt::Write as _;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Append `s` to `out` as the body of a JSON string literal, without
+/// the quotes: `"` and `\` are backslash-escaped, `\n`, `\r`, `\t`,
+/// backspace and form feed get their short escapes, other bytes below
+/// 0x20 become `\u00xx`, and everything else (non-ASCII included) is
+/// copied as is. This is the workspace's one JSON string escaper; the
+/// corpus JSONL encoder writes through it as well as [`Json::compact`]
+/// and [`Json::pretty`].
+pub fn escape_into(out: &mut String, s: &str) {
+    use fmt::Write as _;
+    // Every byte that needs an escape is ASCII, so each `i` below is a
+    // char boundary and each run between them is copied in one push.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
-    out.push('"');
+    out.push_str(&s[run..]);
 }
 
 struct Parser<'a> {
@@ -598,6 +617,72 @@ mod tests {
         let e = Json::parse("[1, x]").unwrap_err();
         assert_eq!(e.offset, 4);
         assert!(e.to_string().contains("byte 4"));
+    }
+
+    /// The char-by-char escaper `escape_into` replaced, kept as its
+    /// reference.
+    fn reference_escape(s: &str) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    fn escaped(s: &str) -> String {
+        let mut out = String::new();
+        escape_into(&mut out, s);
+        out
+    }
+
+    #[test]
+    fn escape_into_matches_reference_per_char() {
+        let singles = (0u32..=0xFF).chain([0x2028, 0xFFFF, 0x1F680]);
+        for c in singles.filter_map(char::from_u32) {
+            let s = c.to_string();
+            assert_eq!(escaped(&s), reference_escape(&s), "U+{:04X}", c as u32);
+            // Inside a run of plain text, too.
+            let s = format!("ab{c}cd{c}");
+            assert_eq!(
+                escaped(&s),
+                reference_escape(&s),
+                "U+{:04X} in text",
+                c as u32
+            );
+        }
+    }
+
+    #[test]
+    fn escape_into_matches_reference_on_random_strings() {
+        const ALPHABET: &[char] = &[
+            'a', 'Z', ' ', '0', '"', '\\', '/', '\n', '\r', '\t', '\u{08}', '\u{0C}', '\u{0}',
+            '\u{1}', '\u{1F}', '\u{7F}', 'é', 'μ', '你', '\u{2028}', '\u{FFFF}', '🚀',
+        ];
+        crate::forall!(|rng| {
+            let s = crate::check::string_from(rng, ALPHABET, 0..40);
+            assert_eq!(escaped(&s), reference_escape(&s), "{s:?}");
+            // Appends: what is already in the buffer stays.
+            let mut out = String::from("prefix");
+            escape_into(&mut out, &s);
+            assert_eq!(out, format!("prefix{}", reference_escape(&s)));
+            assert_eq!(
+                Json::parse(&Json::str(s.clone()).compact()),
+                Ok(Json::Str(s))
+            );
+        });
     }
 
     #[test]
