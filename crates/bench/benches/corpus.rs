@@ -79,7 +79,7 @@ fn main() {
         "corpus/jsonl_encode",
         BenchOpts {
             min_iters: 8,
-            ..BenchOpts::default()
+            min_samples: 5,
         },
         || {
             let bytes: usize = corpus
@@ -94,8 +94,12 @@ fn main() {
     // Dedup admission over a pre-scored round (every pair scored
     // clean), isolating the index from generation.
     let scored: Vec<_> = corpus.pairs().iter().map(|p| (p.clone(), 0u32)).collect();
-    h.bench_with_setup(
+    h.bench_with_setup_opts(
         "corpus/dedup_admit_round",
+        BenchOpts {
+            min_samples: 5,
+            ..BenchOpts::default()
+        },
         || scored.clone(),
         |round| {
             let mut dedup = StreamDedup::new(DedupPolicy::ResolveConflicts);
