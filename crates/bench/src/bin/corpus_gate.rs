@@ -271,7 +271,9 @@ fn main() {
     let _ = std::fs::remove_file(&jsonl_path);
 
     // Throughput from the rounds' own stage clocks (the streaming layer
-    // takes no wall clocks of its own).
+    // takes no wall clocks of its own). Those clocks stop before the
+    // sink, so this is round-stage throughput, not what a caller
+    // streaming into a file sees.
     let secs = report.timings.total.as_secs_f64();
     let pairs_per_sec = if secs > 0.0 {
         report.emitted as f64 / secs
@@ -279,7 +281,8 @@ fn main() {
         0.0
     };
     println!(
-        "[corpus_gate] {:.0} pairs/sec over {} rounds (single-thread run)",
+        "[corpus_gate] {:.0} pairs/sec round-stage throughput over {} rounds \
+         (single-thread run, sink untimed)",
         pairs_per_sec,
         report.rounds.len()
     );
