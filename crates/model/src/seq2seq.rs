@@ -529,12 +529,88 @@ mod tests {
         assert_eq!(q, parse_query(text).unwrap());
     }
 
+    /// The options every bit pin below trains with.
+    fn pin_options() -> TrainOptions {
+        TrainOptions {
+            epochs: 10,
+            seed: 1,
+            max_pairs: None,
+            verbose: false,
+        }
+    }
+
+    /// Greedy target ids for each tiny-corpus lemma sequence, one
+    /// all-OOV sequence and the empty sequence.
+    fn decoded_ids(m: &Seq2SeqModel) -> Vec<Vec<usize>> {
+        let mut inputs: Vec<Vec<String>> = tiny_corpus()
+            .pairs()
+            .iter()
+            .map(|p| p.nl_lemmas.clone())
+            .collect();
+        inputs.push(vec!["frobnicate".into(), "the".into(), "zork".into()]);
+        inputs.push(Vec::new());
+        inputs
+            .iter()
+            .map(|lemmas| m.decode_greedy(&m.src_vocab.encode(lemmas)))
+            .collect()
+    }
+
+    fn loss_bits(m: &Seq2SeqModel) -> Vec<u32> {
+        m.epoch_losses.iter().map(|l| l.to_bits()).collect()
+    }
+
+    /// Pins the model's floats: any change to the order or the set of
+    /// float operations in training or greedy decoding moves these bits.
+    #[test]
+    fn training_and_decoding_bits_are_pinned() {
+        let mut m = small_model();
+        m.train(&tiny_corpus(), &pin_options());
+        assert_eq!(
+            loss_bits(&m),
+            [
+                0x40388433, 0x401d24a5, 0x4005aeca, 0x3fd9886f, 0x3fb03d9c, 0x3f902a61, 0x3f68c71a,
+                0x3f3c01f7, 0x3f164e38, 0x3eeb98f9
+            ],
+            "losses {:?}",
+            m.epoch_losses
+        );
+        let ids = decoded_ids(&m);
+        assert_eq!(
+            dbpal_util::fnv1a(format!("{ids:?}").as_bytes()),
+            0x4e70418b858f5dac,
+            "ids {ids:?}"
+        );
+    }
+
     #[test]
     fn retraining_resets_state() {
-        let mut m = small_model();
-        m.train(&tiny_corpus(), &TrainOptions::fast());
-        let losses_a = m.epoch_losses.clone();
-        m.train(&tiny_corpus(), &TrainOptions::fast());
-        assert_eq!(losses_a.len(), m.epoch_losses.len());
+        let other = {
+            let lem = Lemmatizer::new();
+            let data = [
+                ("list every doctor", "SELECT * FROM doctors"),
+                ("count the doctors", "SELECT COUNT(*) FROM doctors"),
+                (
+                    "which specialty has doctor @NAME",
+                    "SELECT specialty FROM doctors WHERE name = @NAME",
+                ),
+            ];
+            let pairs = data
+                .iter()
+                .map(|&(nl, sql)| {
+                    let mut p =
+                        TrainingPair::new(nl, parse_query(sql).unwrap(), "t", Provenance::Seed);
+                    p.nl_lemmas = lem.lemmatize_sentence(nl);
+                    p
+                })
+                .collect();
+            TrainingCorpus::from_pairs(pairs)
+        };
+        let mut fresh = small_model();
+        fresh.train(&tiny_corpus(), &pin_options());
+        let mut retrained = small_model();
+        retrained.train(&other, &TrainOptions::fast());
+        retrained.train(&tiny_corpus(), &pin_options());
+        assert_eq!(loss_bits(&retrained), loss_bits(&fresh));
+        assert_eq!(decoded_ids(&retrained), decoded_ids(&fresh));
     }
 }
