@@ -2,8 +2,8 @@
 //! JSONL encoding, and dedup-index admission (`dbpal_util::bench`
 //! harness).
 //!
-//! Run with `cargo bench`; under `cargo test` each benchmark executes a
-//! single smoke iteration. Set `DBPAL_BENCH_JSON=<path>` for a
+//! Run with `cargo bench` for full measurement, or `cargo bench --
+//! --quick` for the quick profile. Set `DBPAL_BENCH_JSON=<path>` for a
 //! machine-readable report. The committed baseline lives in
 //! `BENCH_corpus.json`, whose `corpus` member `corpus_gate` maintains.
 
@@ -49,10 +49,6 @@ fn main() {
         max_rounds: 2,
         ..StreamOptions::corpus(0)
     };
-    let scaling = BenchOpts {
-        min_samples: 3,
-        ..BenchOpts::default()
-    };
     for threads in [1usize, 4] {
         let cfg = GenerationConfig {
             threads,
@@ -60,9 +56,8 @@ fn main() {
         };
         let opts = stream_opts.clone();
         let schema_ref = &schema;
-        h.bench_opts(
+        h.bench(
             &format!("corpus/stream_2rounds_threads{threads}"),
-            scaling,
             move || {
                 let mut sink = JsonlSink::new(std::io::sink());
                 let report = TrainingPipeline::new(cfg.clone())
@@ -75,31 +70,20 @@ fn main() {
 
     // JSONL encoding alone, over a fixed generated corpus.
     let corpus = TrainingPipeline::new(small.clone()).generate(&schema);
-    h.bench_opts(
-        "corpus/jsonl_encode",
-        BenchOpts {
-            min_iters: 8,
-            min_samples: 5,
-        },
-        || {
-            let bytes: usize = corpus
-                .pairs()
-                .iter()
-                .map(|p| dbpal_core::pair_to_jsonl(p).len())
-                .sum();
-            black_box(bytes)
-        },
-    );
+    h.bench_opts("corpus/jsonl_encode", BenchOpts { min_iters: 8 }, || {
+        let bytes: usize = corpus
+            .pairs()
+            .iter()
+            .map(|p| dbpal_core::pair_to_jsonl(p).len())
+            .sum();
+        black_box(bytes)
+    });
 
     // Dedup admission over a pre-scored round (every pair scored
     // clean), isolating the index from generation.
     let scored: Vec<_> = corpus.pairs().iter().map(|p| (p.clone(), 0u32)).collect();
-    h.bench_with_setup_opts(
+    h.bench_with_setup(
         "corpus/dedup_admit_round",
-        BenchOpts {
-            min_samples: 5,
-            ..BenchOpts::default()
-        },
         || scored.clone(),
         |round| {
             let mut dedup = StreamDedup::new(DedupPolicy::ResolveConflicts);

@@ -1,8 +1,8 @@
 //! Microbenchmarks for the training pipeline: generation, augmentation,
 //! and lemmatization throughput (`dbpal_util::bench` harness).
 //!
-//! Run with `cargo bench`; under `cargo test` each benchmark executes a
-//! single smoke iteration. Set `DBPAL_BENCH_JSON=<path>` for a
+//! Run with `cargo bench` for full measurement, or `cargo bench --
+//! --quick` for the quick profile. Set `DBPAL_BENCH_JSON=<path>` for a
 //! machine-readable report.
 
 use dbpal_core::{catalog, Augmenter, GenerationConfig, Generator, TrainingPipeline};
@@ -62,14 +62,9 @@ fn main() {
     // quick-mode baseline records a real median, not one timer tick.
     let lem = Lemmatizer::new();
     let sentence = "What are the names of all patients older than 80 who stayed longest?";
-    h.bench_opts(
-        "lemmatizer/sentence",
-        BenchOpts {
-            min_iters: 512,
-            ..BenchOpts::default()
-        },
-        || black_box(lem.lemmatize_sentence(sentence).len()),
-    );
+    h.bench_opts("lemmatizer/sentence", BenchOpts { min_iters: 512 }, || {
+        black_box(lem.lemmatize_sentence(sentence).len())
+    });
 
     h.bench("pipeline/generate_small", || {
         let pipeline = TrainingPipeline::new(config.clone());
@@ -80,22 +75,15 @@ fn main() {
     // The corpora are byte-identical (the determinism contract); only
     // wall-clock time may differ, and on multi-core hardware the
     // 4-thread run should win.
-    // The `--compare` parity gate judges this pair's medians, so even
-    // quick runs take a few samples each — one sample's scheduler
-    // hiccup must not read as a fan-out regression.
-    let scaling = BenchOpts {
-        min_samples: 3,
-        ..BenchOpts::default()
-    };
     let full = GenerationConfig::default();
-    h.bench_opts("pipeline/generate_threads1", scaling, || {
+    h.bench("pipeline/generate_threads1", || {
         let cfg = GenerationConfig {
             threads: 1,
             ..full.clone()
         };
         black_box(TrainingPipeline::new(cfg).generate(&schema).len())
     });
-    h.bench_opts("pipeline/generate_threads4", scaling, || {
+    h.bench("pipeline/generate_threads4", || {
         let cfg = GenerationConfig {
             threads: 4,
             ..full.clone()
@@ -109,14 +97,9 @@ fn main() {
 
     let sql = "SELECT disease, COUNT(*) FROM patients WHERE age > @AGE \
                GROUP BY disease HAVING COUNT(*) > 2 ORDER BY COUNT(*) DESC LIMIT 5";
-    h.bench_opts(
-        "sql/parse",
-        BenchOpts {
-            min_iters: 512,
-            ..BenchOpts::default()
-        },
-        || black_box(dbpal_sql::parse_query(sql).unwrap()),
-    );
+    h.bench_opts("sql/parse", BenchOpts { min_iters: 512 }, || {
+        black_box(dbpal_sql::parse_query(sql).unwrap())
+    });
 
     h.finish();
 }

@@ -87,10 +87,7 @@ fn main() {
     warm.answer("How many patients have influenza?").unwrap();
     h.bench_opts(
         "serve/answer_warm_cache",
-        BenchOpts {
-            min_iters: 64,
-            ..BenchOpts::default()
-        },
+        BenchOpts { min_iters: 64 },
         || black_box(warm.answer("How many patients have asthma?").unwrap()),
     );
 
@@ -106,12 +103,9 @@ fn main() {
     // construction, wall-clock only. Single-CPU containers will show no
     // speedup; the pair still pins the overhead of the fan-out.
     // The `--compare` parity gate judges this pair's medians, so even
-    // quick runs iterate and sample enough that one scheduler hiccup
-    // does not read as a fan-out regression.
-    let scaling = BenchOpts {
-        min_iters: 16,
-        min_samples: 3,
-    };
+    // quick runs iterate enough that one scheduler hiccup does not read
+    // as a fan-out regression.
+    let scaling = BenchOpts { min_iters: 16 };
     let big = mixed_batch(64);
     for workers in [1usize, 4] {
         let svc = service(workers);

@@ -2,7 +2,8 @@
 //! parse with the in-repo JSON parser and match the bench-report schema
 //! (DESIGN.md "Serving & observability"): a `group` string plus a
 //! `benchmarks` array whose entries carry name, median/min/max
-//! nanoseconds, iterations per sample, and sample count.
+//! nanoseconds, iterations per sample, and a sample count of at least
+//! [`MIN_SAMPLES`], so every row carries its own spread.
 //!
 //! This is what makes the machine-readable perf trajectory trustworthy:
 //! a report that silently stopped parsing would otherwise rot unnoticed.
@@ -30,6 +31,10 @@
 
 use dbpal_bench::compare::{compare_reports, parity_from_env, tolerance_for_group};
 use dbpal_util::Json;
+
+/// Fewest samples a row may report: what `Config::quick` takes, the
+/// profile verify.sh regenerates the committed reports with.
+const MIN_SAMPLES: f64 = 5.0;
 
 /// A validator for one gate-written report member.
 type Validator = fn(&Json) -> Result<(), String>;
@@ -152,7 +157,7 @@ fn check_report(doc: &Json) -> Result<(usize, String), String> {
     for (i, b) in benchmarks.iter().enumerate() {
         let ctx = format!("benchmarks[{i}]");
         strings(&ctx, b, &["name"])?;
-        numbers(
+        let [.., samples] = numbers(
             &ctx,
             b,
             [
@@ -163,6 +168,11 @@ fn check_report(doc: &Json) -> Result<(usize, String), String> {
                 "samples",
             ],
         )?;
+        if samples < MIN_SAMPLES {
+            return Err(format!(
+                "{ctx}: {samples} samples, fewer than {MIN_SAMPLES}"
+            ));
+        }
     }
     for &(member_group, member, gate, validate) in MEMBERS {
         match doc.get(member) {

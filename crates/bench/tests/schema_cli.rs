@@ -82,6 +82,11 @@ fn each_broken_rule_fails_with_its_diagnostic() {
             "benchmarks[0]: negative `median_ns`",
         ),
         (
+            "too_few_samples",
+            edit(&serve, "\"samples\": 5", "\"samples\": 4"),
+            "benchmarks[0]: 4 samples, fewer than 5",
+        ),
+        (
             "negative_load_count",
             edit(&serve, "\"sheds\": 0", "\"sheds\": -1"),
             "load: negative `sheds`",

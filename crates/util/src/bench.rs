@@ -45,11 +45,11 @@ impl Default for Config {
 }
 
 impl Config {
-    /// One iteration, one sample, no warmup — a smoke run that only
-    /// proves the benchmark still executes.
+    /// Five samples, no warmup, no calibration target — a short run
+    /// whose median still carries a spread (`min`/`max`).
     pub fn quick() -> Self {
         Config {
-            samples: 1,
+            samples: 5,
             warmup: Duration::ZERO,
             target_sample: Duration::ZERO,
         }
@@ -57,11 +57,11 @@ impl Config {
 
     /// Full measurement when invoked by `cargo bench` (which passes
     /// `--bench` to `harness = false` targets), [`Config::quick`]
-    /// otherwise — so `cargo test`, which runs bench binaries with no
-    /// arguments, finishes in milliseconds. An explicit `--quick`
-    /// forces the smoke profile even under `cargo bench`; CI uses this
-    /// to emit machine-readable reports without paying for full
-    /// measurement.
+    /// otherwise, e.g. when a bench binary is run directly. An
+    /// explicit `--quick` forces the quick profile even under
+    /// `cargo bench`; CI uses this to emit machine-readable reports
+    /// without paying for full measurement. (`cargo test` does not run
+    /// bench targets.)
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
         if args.iter().any(|a| a == "--quick") || !args.iter().any(|a| a == "--bench") {
@@ -74,18 +74,16 @@ impl Config {
 
 /// Per-benchmark floors layered on top of the harness [`Config`].
 ///
-/// Quick runs (`--quick`, `cargo test`, CI) calibrate to one iteration
-/// and one sample, which for sub-millisecond routines records timer
-/// noise instead of a meaningful median — and the committed
-/// `BENCH_*.json` baselines are produced by exactly those runs. A
-/// benchmark that knows it is fast declares floors here; full
-/// `cargo bench` runs already exceed them and are unaffected.
+/// Quick runs (`--quick`, CI) calibrate to one iteration per sample,
+/// which for sub-millisecond routines records timer noise instead of a
+/// meaningful median — and the committed `BENCH_*.json` baselines are
+/// produced by exactly those runs. A benchmark that knows it is fast
+/// declares a floor here; full `cargo bench` runs already exceed it and
+/// are unaffected.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BenchOpts {
     /// Minimum iterations per sample, applied after calibration.
     pub min_iters: u64,
-    /// Minimum number of measured samples.
-    pub min_samples: usize,
 }
 
 /// One benchmark's measured result.
@@ -161,7 +159,7 @@ impl Harness {
             .calibrate(&mut setup, &mut routine)
             .max(opts.min_iters)
             .max(1);
-        let samples = self.config.samples.max(opts.min_samples).max(1);
+        let samples = self.config.samples.max(1);
         self.warmup(iters, &mut setup, &mut routine);
 
         let mut per_iter: Vec<Duration> = Vec::with_capacity(samples);
@@ -369,16 +367,9 @@ mod tests {
     }
 
     #[test]
-    fn opts_floor_iters_and_samples() {
+    fn quick_floors_iters_and_takes_five_samples() {
         let mut h = Harness::with_config("unit", Config::quick());
-        h.bench_opts(
-            "floored",
-            BenchOpts {
-                min_iters: 32,
-                min_samples: 5,
-            },
-            || black_box(1u8),
-        );
+        h.bench_opts("floored", BenchOpts { min_iters: 32 }, || black_box(1u8));
         let m = &h.results()[0];
         assert!(m.iters_per_sample >= 32, "iters {}", m.iters_per_sample);
         assert_eq!(m.samples, 5);
