@@ -30,6 +30,30 @@ pub struct GruCell {
     hidden_dim: usize,
 }
 
+/// Reused buffers of [`GruCell::step`]: the gate activations of the
+/// last step and one matvec output.
+#[derive(Debug, Clone)]
+pub(crate) struct GruScratch {
+    z: Vec<f32>,
+    r: Vec<f32>,
+    hbar: Vec<f32>,
+    rh: Vec<f32>,
+    tmp: Vec<f32>,
+}
+
+impl GruScratch {
+    /// Buffers for a cell of hidden width `hidden_dim`.
+    pub(crate) fn new(hidden_dim: usize) -> Self {
+        GruScratch {
+            z: vec![0.0; hidden_dim],
+            r: vec![0.0; hidden_dim],
+            hbar: vec![0.0; hidden_dim],
+            rh: vec![0.0; hidden_dim],
+            tmp: vec![0.0; hidden_dim],
+        }
+    }
+}
+
 /// Per-step activations needed for the backward pass.
 #[derive(Debug, Clone)]
 pub struct GruCache {
@@ -69,34 +93,54 @@ impl GruCell {
         self.input_dim
     }
 
+    /// The input half of a step, `[Wz x; Wr x; Wh x]`, into `out`
+    /// (`3 × hidden_dim`). It depends on `x` alone, so a caller whose
+    /// inputs are embedding rows can project each row once.
+    pub(crate) fn project_input(&self, x: &[f32], out: &mut [f32]) {
+        let h = self.hidden_dim;
+        let (oz, rest) = out.split_at_mut(h);
+        let (or, oh) = rest.split_at_mut(h);
+        matvec(&self.wz.w, h, self.input_dim, x, oz);
+        matvec(&self.wr.w, h, self.input_dim, x, or);
+        matvec(&self.wh.w, h, self.input_dim, x, oh);
+    }
+
+    /// One step from a projected input `xin` (see
+    /// [`GruCell::project_input`]), overwriting `h` with the next hidden
+    /// state. Leaves this step's gates in `s`.
+    pub(crate) fn step(&self, xin: &[f32], h: &mut [f32], s: &mut GruScratch) {
+        let hd = self.hidden_dim;
+        let (xz, rest) = xin.split_at(hd);
+        let (xr, xh) = rest.split_at(hd);
+        matvec(&self.uz.w, hd, hd, h, &mut s.tmp);
+        for i in 0..hd {
+            s.z[i] = sigmoid(xz[i] + s.tmp[i] + self.bz.w[i]);
+        }
+        matvec(&self.ur.w, hd, hd, h, &mut s.tmp);
+        for i in 0..hd {
+            s.r[i] = sigmoid(xr[i] + s.tmp[i] + self.br.w[i]);
+        }
+        for i in 0..hd {
+            s.rh[i] = s.r[i] * h[i];
+        }
+        matvec(&self.uh.w, hd, hd, &s.rh, &mut s.tmp);
+        for i in 0..hd {
+            s.hbar[i] = (xh[i] + s.tmp[i] + self.bh.w[i]).tanh();
+        }
+        for i in 0..hd {
+            h[i] = (1.0 - s.z[i]) * h[i] + s.z[i] * s.hbar[i];
+        }
+    }
+
     /// One forward step. Returns the next hidden state and the cache for
     /// backprop.
     pub fn forward(&self, x: &[f32], h_prev: &[f32]) -> (Vec<f32>, GruCache) {
-        let h = self.hidden_dim;
-        let mut z = vec![0.0; h];
-        let mut r = vec![0.0; h];
-        let mut hbar = vec![0.0; h];
-        let mut tmp = vec![0.0; h];
-
-        matvec(&self.wz.w, h, self.input_dim, x, &mut z);
-        matvec(&self.uz.w, h, h, h_prev, &mut tmp);
-        for i in 0..h {
-            z[i] = sigmoid(z[i] + tmp[i] + self.bz.w[i]);
-        }
-        matvec(&self.wr.w, h, self.input_dim, x, &mut r);
-        matvec(&self.ur.w, h, h, h_prev, &mut tmp);
-        for i in 0..h {
-            r[i] = sigmoid(r[i] + tmp[i] + self.br.w[i]);
-        }
-        let rh: Vec<f32> = (0..h).map(|i| r[i] * h_prev[i]).collect();
-        matvec(&self.wh.w, h, self.input_dim, x, &mut hbar);
-        matvec(&self.uh.w, h, h, &rh, &mut tmp);
-        for i in 0..h {
-            hbar[i] = (hbar[i] + tmp[i] + self.bh.w[i]).tanh();
-        }
-        let h_new: Vec<f32> = (0..h)
-            .map(|i| (1.0 - z[i]) * h_prev[i] + z[i] * hbar[i])
-            .collect();
+        let mut xin = vec![0.0; 3 * self.hidden_dim];
+        self.project_input(x, &mut xin);
+        let mut h_new = h_prev.to_vec();
+        let mut s = GruScratch::new(self.hidden_dim);
+        self.step(&xin, &mut h_new, &mut s);
+        let GruScratch { z, r, hbar, rh, .. } = s;
         let cache = GruCache {
             x: x.to_vec(),
             h_prev: h_prev.to_vec(),
@@ -182,6 +226,7 @@ impl GruCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::math::dot;
 
     /// Finite-difference gradient check on a scalar loss L = Σ h'.
     #[test]
@@ -259,6 +304,52 @@ mod tests {
                 "wh.g[{idx}]: numeric {num} vs analytic {}",
                 analytic[idx]
             );
+        }
+    }
+
+    /// The step written out from the equations with one `dot` per
+    /// matrix row, in the order the module doc gives.
+    fn reference_step(cell: &GruCell, x: &[f32], h_prev: &[f32]) -> Vec<f32> {
+        let (d, h) = (cell.input_dim, cell.hidden_dim);
+        let row = |p: &Param, i: usize, cols: usize| p.w[i * cols..(i + 1) * cols].to_vec();
+        let gate = |w: &Param, u: &Param, b: &Param, hv: &[f32], i: usize| {
+            dot(&row(w, i, d), x) + dot(&row(u, i, h), hv) + b.w[i]
+        };
+        let z: Vec<f32> = (0..h)
+            .map(|i| sigmoid(gate(&cell.wz, &cell.uz, &cell.bz, h_prev, i)))
+            .collect();
+        let r: Vec<f32> = (0..h)
+            .map(|i| sigmoid(gate(&cell.wr, &cell.ur, &cell.br, h_prev, i)))
+            .collect();
+        let rh: Vec<f32> = (0..h).map(|i| r[i] * h_prev[i]).collect();
+        (0..h)
+            .map(|i| {
+                let hbar = gate(&cell.wh, &cell.uh, &cell.bh, &rh, i).tanh();
+                (1.0 - z[i]) * h_prev[i] + z[i] * hbar
+            })
+            .collect()
+    }
+
+    #[test]
+    fn step_matches_forward_and_equations_bitwise() {
+        for (d, h, seed) in [(32, 48, 23), (3, 4, 29)] {
+            let mut rng = Rng::seed_from_u64(seed);
+            let cell = GruCell::new(d, h, &mut rng);
+            let mut s = GruScratch::new(h);
+            let mut xin = vec![0.0; 3 * h];
+            let mut h_step = vec![0.0; h];
+            let mut h_fwd = vec![0.0; h];
+            for t in 0..100 {
+                let x: Vec<f32> = (0..d).map(|_| rng.gen_range(-1.5f32..1.5)).collect();
+                let want = reference_step(&cell, &x, &h_fwd);
+                let (h_new, _) = cell.forward(&x, &h_fwd);
+                cell.project_input(&x, &mut xin);
+                cell.step(&xin, &mut h_step, &mut s);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&h_new), bits(&want), "forward, ({d}, {h}) step {t}");
+                assert_eq!(bits(&h_step), bits(&want), "step, ({d}, {h}) step {t}");
+                h_fwd = h_new;
+            }
         }
     }
 

@@ -86,12 +86,38 @@ impl Param {
 }
 
 /// `out = W x` for row-major `W: [rows x cols]`, `x: [cols]`.
+///
+/// Runs four rows at a time, each in its own accumulator that starts at
+/// `-0.0` and adds `w[r][c] * x[c]` for ascending `c`: [`dot`]'s order,
+/// so every output is bit-identical to `dot(row, x)`. The four chains
+/// are independent, which is the whole speedup; no sum is reassociated
+/// and no multiply-add is fused. Rows left over go through `dot`.
 pub fn matvec(w: &[f32], rows: usize, cols: usize, x: &[f32], out: &mut [f32]) {
     debug_assert_eq!(w.len(), rows * cols);
     debug_assert_eq!(x.len(), cols);
     debug_assert_eq!(out.len(), rows);
-    for (r, o) in out.iter_mut().enumerate() {
-        let row = &w[r * cols..(r + 1) * cols];
+    if cols == 0 {
+        // `dot` of two empty slices; also keeps `chunks_exact(0)` away.
+        out.fill(-0.0);
+        return;
+    }
+    let mut blocks = w.chunks_exact(4 * cols);
+    let mut outs = out.chunks_exact_mut(4);
+    for (block, o) in (&mut blocks).zip(&mut outs) {
+        let (w0, rest) = block.split_at(cols);
+        let (w1, rest) = rest.split_at(cols);
+        let (w2, w3) = rest.split_at(cols);
+        let mut s = [-0.0f32; 4];
+        for ((((&a, &b), &c), &d), &xc) in w0.iter().zip(w1).zip(w2).zip(w3).zip(x) {
+            s[0] += a * xc;
+            s[1] += b * xc;
+            s[2] += c * xc;
+            s[3] += d * xc;
+        }
+        o.copy_from_slice(&s);
+    }
+    let rows_left = blocks.remainder().chunks_exact(cols);
+    for (row, o) in rows_left.zip(outs.into_remainder()) {
         *o = dot(row, x);
     }
 }
@@ -126,9 +152,13 @@ pub fn outer_acc(g: &mut [f32], rows: usize, cols: usize, y: &[f32], x: &[f32]) 
     }
 }
 
-/// Dot product.
+/// Dot product: one serial sum from `-0.0` in ascending index order.
+///
+/// Spelled out rather than `Iterator::sum`, whose start value for `f32`
+/// changed from `0.0` to `-0.0` in Rust 1.83, so that [`matvec`] and
+/// `dot` share one order on every toolchain.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    a.iter().zip(b).fold(-0.0, |s, (x, y)| s + x * y)
 }
 
 /// Elementwise logistic sigmoid.
@@ -170,6 +200,64 @@ mod tests {
         let mut out = vec![0.0; 2];
         matvec(&w, 2, 2, &x, &mut out);
         assert_eq!(out, vec![3.0, 4.0]);
+    }
+
+    /// Bitwise equality, except that any two NaNs match: IEEE 754 leaves
+    /// which payload an operation on two NaNs returns to the hardware.
+    fn same_bits(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Row `r` of a test matrix over `x`: seeded values, or one of the
+    /// special cases, by `r % 6`.
+    fn test_row(r: usize, x: &[f32], rng: &mut Rng) -> Vec<f32> {
+        let tiny = f32::MIN_POSITIVE / 8.0;
+        x.iter()
+            .enumerate()
+            .map(|(c, &xc)| match (r % 6, c % 3) {
+                // Every product is -0.0, so the sum is -0.0 only if
+                // the accumulator starts there.
+                (1, _) => 0.0f32.copysign(-xc),
+                (2, 0) => 0.0,
+                (2, 1) => -0.0,
+                (3, 0) => f32::INFINITY,
+                (3, 1) => f32::NEG_INFINITY,
+                (4, 1) => f32::NAN,
+                (5, _) => tiny * (c as f32 - 2.0),
+                _ => rng.gen_range(-1.0f32..1.0),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn matvec_rows_match_dot_bitwise() {
+        let mut rng = Rng::seed_from_u64(89);
+        for cols in [0, 1, 3, 4, 5, 31, 32, 33, 48, 96] {
+            let x: Vec<f32> = (0..cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+            for rows in 0..10 {
+                let w: Vec<f32> = (0..rows).flat_map(|r| test_row(r, &x, &mut rng)).collect();
+                let mut out = vec![f32::NAN; rows];
+                matvec(&w, rows, cols, &x, &mut out);
+                for (r, &o) in out.iter().enumerate() {
+                    let want = dot(&w[r * cols..(r + 1) * cols], &x);
+                    assert!(
+                        same_bits(o, want),
+                        "{rows}x{cols} row {r}: {o:e} ({:#x}) vs dot {want:e} ({:#x})",
+                        o.to_bits(),
+                        want.to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dot_starts_from_negative_zero() {
+        assert_eq!(dot(&[], &[]).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(
+            dot(&[-0.0, 0.0], &[1.0, -1.0]).to_bits(),
+            (-0.0f32).to_bits()
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! Everything — forward, backward, optimizer — is implemented manually in
 //! this crate; there is no external ML dependency.
 
-use crate::gru::{GruCache, GruCell};
+use crate::gru::{GruCache, GruCell, GruScratch};
 use crate::math::{dot, matvec, outer_acc, softmax_inplace, Param};
 use crate::vocab::{Vocab, EOS, SOS};
 use dbpal_core::{TrainOptions, TrainingCorpus, TranslationModel};
@@ -60,6 +60,12 @@ pub struct Seq2SeqModel {
     decoder: GruCell,
     w_out: Param,
     b_out: Param,
+    /// The encoder's input projection of every `src_embed` row
+    /// (`|src| × 3h`, see [`GruCell::project_input`]); built by `train`.
+    enc_in: Vec<f32>,
+    /// The decoder's input projection of every `tgt_embed` row
+    /// (`|tgt| × 3h`); built by `train`.
+    dec_in: Vec<f32>,
     adam_t: usize,
     /// Mean cross-entropy per epoch of the last training run.
     pub epoch_losses: Vec<f32>,
@@ -79,6 +85,8 @@ impl Seq2SeqModel {
             decoder: GruCell::new(e, h, &mut rng),
             w_out: Param::xavier(4, 2 * h, &mut rng),
             b_out: Param::zeros(4),
+            enc_in: Vec::new(),
+            dec_in: Vec::new(),
             adam_t: 0,
             epoch_losses: Vec::new(),
             cfg,
@@ -99,23 +107,36 @@ impl Seq2SeqModel {
         self.decoder = GruCell::new(e, h, &mut rng);
         self.w_out = Param::xavier(self.tgt_vocab.len(), 2 * h, &mut rng);
         self.b_out = Param::zeros(self.tgt_vocab.len());
+        self.enc_in.clear();
+        self.dec_in.clear();
         self.adam_t = 0;
         self.epoch_losses.clear();
     }
 
-    fn embed(table: &Param, id: usize, dim: usize) -> Vec<f32> {
-        table.w[id * dim..(id + 1) * dim].to_vec()
+    fn embed(table: &Param, id: usize) -> &[f32] {
+        &table.w[id * table.cols..(id + 1) * table.cols]
     }
 
-    /// Run the encoder over source ids, returning hidden states + caches.
+    /// `cell`'s input projection of every row of `table`, row after row.
+    fn input_table(cell: &GruCell, table: &Param) -> Vec<f32> {
+        let w = 3 * cell.hidden_dim();
+        let mut out = vec![0.0; table.rows * w];
+        for id in 0..table.rows {
+            cell.project_input(Self::embed(table, id), &mut out[id * w..(id + 1) * w]);
+        }
+        out
+    }
+
+    /// Run the encoder over source ids, returning hidden states + caches
+    /// for backprop.
     fn encode(&self, src: &[usize]) -> (Vec<Vec<f32>>, Vec<GruCache>) {
         let h_dim = self.cfg.hidden_dim;
         let mut h = vec![0.0; h_dim];
         let mut states = Vec::with_capacity(src.len());
         let mut caches = Vec::with_capacity(src.len());
         for &id in src {
-            let x = Self::embed(&self.src_embed, id, self.cfg.embed_dim);
-            let (h_new, cache) = self.encoder.forward(&x, &h);
+            let x = Self::embed(&self.src_embed, id);
+            let (h_new, cache) = self.encoder.forward(x, &h);
             h = h_new;
             states.push(h.clone());
             caches.push(cache);
@@ -151,8 +172,8 @@ impl Seq2SeqModel {
         let mut loss = 0.0f32;
         let mut prev = SOS;
         for &target in tgt {
-            let x = Self::embed(&self.tgt_embed, prev, e_dim);
-            let (h_new, cache) = self.decoder.forward(&x, &h);
+            let x = Self::embed(&self.tgt_embed, prev);
+            let (h_new, cache) = self.decoder.forward(x, &h);
             h = h_new;
             // Dot-product attention over encoder states.
             let mut attn: Vec<f32> = (0..n).map(|i| dot(&h, &enc_states[i])).collect();
@@ -285,49 +306,58 @@ impl Seq2SeqModel {
         out
     }
 
-    /// One decoder step: consume `prev`, update the hidden state, and
-    /// return the post-softmax distribution over target tokens.
-    fn decode_step(&self, prev: usize, h: &[f32], enc_states: &[Vec<f32>]) -> (Vec<f32>, Vec<f32>) {
-        let h_dim = self.cfg.hidden_dim;
-        let n = enc_states.len();
-        let vt = self.tgt_vocab.len();
-        let x = Self::embed(&self.tgt_embed, prev, self.cfg.embed_dim);
-        let (h_new, _) = self.decoder.forward(&x, h);
-        let mut attn: Vec<f32> = (0..n).map(|i| dot(&h_new, &enc_states[i])).collect();
-        if n > 0 {
-            softmax_inplace(&mut attn);
-        }
-        let mut context = vec![0.0; h_dim];
-        for i in 0..n {
-            for j in 0..h_dim {
-                context[j] += attn[i] * enc_states[i][j];
-            }
-        }
-        let mut hc = Vec::with_capacity(2 * h_dim);
-        hc.extend_from_slice(&h_new);
-        hc.extend_from_slice(&context);
-        let mut probs = vec![0.0; vt];
-        matvec(&self.w_out.w, vt, 2 * h_dim, &hc, &mut probs);
-        for (l, b) in probs.iter_mut().zip(&self.b_out.w) {
-            *l += b;
-        }
-        softmax_inplace(&mut probs);
-        (h_new, probs)
-    }
-
-    /// Greedy decoding of a source id sequence into target tokens.
+    /// Greedy decoding of a source id sequence into target ids: the
+    /// float operations of `train_example`'s forward pass, in its order,
+    /// with the GRU input projections read from `enc_in`/`dec_in`. Every
+    /// buffer is a local of this call, so concurrent calls share nothing
+    /// mutable.
     fn decode_greedy(&self, src: &[usize]) -> Vec<usize> {
         let h_dim = self.cfg.hidden_dim;
-        let (enc_states, _) = self.encode(src);
-        let mut h = enc_states
-            .last()
-            .cloned()
-            .unwrap_or_else(|| vec![0.0; h_dim]);
+        let w = 3 * h_dim;
+        let n = src.len();
+        let vt = self.tgt_vocab.len();
+        let mut scratch = GruScratch::new(h_dim);
+
+        // Encoder: `states` holds the hidden state after each source
+        // token, row after row; `h` ends as the last one.
+        let mut h = vec![0.0; h_dim];
+        let mut states = vec![0.0; n * h_dim];
+        for (i, &id) in src.iter().enumerate() {
+            let xin = &self.enc_in[id * w..(id + 1) * w];
+            self.encoder.step(xin, &mut h, &mut scratch);
+            states[i * h_dim..(i + 1) * h_dim].copy_from_slice(&h);
+        }
+
+        let mut attn = vec![0.0; n];
+        let mut hc = vec![0.0; 2 * h_dim];
+        let mut probs = vec![0.0; vt];
         let mut prev = SOS;
         let mut out = Vec::new();
         for _ in 0..self.cfg.max_decode_len {
-            let (h_new, probs) = self.decode_step(prev, &h, &enc_states);
-            h = h_new;
+            let xin = &self.dec_in[prev * w..(prev + 1) * w];
+            self.decoder.step(xin, &mut h, &mut scratch);
+            // Dot-product attention over encoder states.
+            for (i, a) in attn.iter_mut().enumerate() {
+                *a = dot(&h, &states[i * h_dim..(i + 1) * h_dim]);
+            }
+            if n > 0 {
+                softmax_inplace(&mut attn);
+            }
+            // Output logits over [h; context].
+            let (h_part, context) = hc.split_at_mut(h_dim);
+            h_part.copy_from_slice(&h);
+            context.fill(0.0);
+            for (i, &a) in attn.iter().enumerate() {
+                let state = &states[i * h_dim..(i + 1) * h_dim];
+                for (c, &s) in context.iter_mut().zip(state) {
+                    *c += a * s;
+                }
+            }
+            matvec(&self.w_out.w, vt, 2 * h_dim, &hc, &mut probs);
+            for (l, b) in probs.iter_mut().zip(&self.b_out.w) {
+                *l += b;
+            }
+            softmax_inplace(&mut probs);
             let next = probs
                 .iter()
                 .enumerate()
@@ -390,6 +420,9 @@ impl TranslationModel for Seq2SeqModel {
                 eprintln!("[seq2seq] epoch {epoch}: loss {mean:.4}");
             }
         }
+        // The weights are final: project every embedding row once.
+        self.enc_in = Self::input_table(&self.encoder, &self.src_embed);
+        self.dec_in = Self::input_table(&self.decoder, &self.tgt_embed);
     }
 
     fn translate(&self, nl_lemmas: &[String]) -> Option<Query> {
@@ -580,6 +613,25 @@ mod tests {
             0x4e70418b858f5dac,
             "ids {ids:?}"
         );
+    }
+
+    #[test]
+    fn projection_tables_match_on_the_fly_projections() {
+        let mut m = small_model();
+        m.train(&tiny_corpus(), &TrainOptions::fast());
+        let w = 3 * m.cfg.hidden_dim;
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for (cell, embed, table) in [
+            (&m.encoder, &m.src_embed, &m.enc_in),
+            (&m.decoder, &m.tgt_embed, &m.dec_in),
+        ] {
+            assert_eq!(table.len(), embed.rows * w);
+            let mut row = vec![0.0; w];
+            for id in 0..embed.rows {
+                cell.project_input(Seq2SeqModel::embed(embed, id), &mut row);
+                assert_eq!(bits(&table[id * w..(id + 1) * w]), bits(&row), "row {id}");
+            }
+        }
     }
 
     #[test]
