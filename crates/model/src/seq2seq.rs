@@ -445,9 +445,20 @@ mod tests {
     use dbpal_core::{Provenance, TrainingPair};
     use dbpal_nlp::Lemmatizer;
 
-    fn tiny_corpus() -> TrainingCorpus {
+    /// Lemmatized seed pairs, one per `(nl, sql)`.
+    fn corpus_of(data: &[(&str, &str)]) -> TrainingCorpus {
         let lem = Lemmatizer::new();
-        let data = [
+        let mut pairs = Vec::new();
+        for &(nl, sql) in data {
+            let mut p = TrainingPair::new(nl, parse_query(sql).unwrap(), "t", Provenance::Seed);
+            p.nl_lemmas = lem.lemmatize_sentence(nl);
+            pairs.push(p);
+        }
+        TrainingCorpus::from_pairs(pairs)
+    }
+
+    fn tiny_corpus() -> TrainingCorpus {
+        corpus_of(&[
             ("show the name of patients", "SELECT name FROM patients"),
             ("show the age of patients", "SELECT age FROM patients"),
             (
@@ -471,14 +482,7 @@ mod tests {
                 "SELECT MAX(age) FROM patients",
             ),
             ("show all patients", "SELECT * FROM patients"),
-        ];
-        let mut pairs = Vec::new();
-        for (nl, sql) in data {
-            let mut p = TrainingPair::new(nl, parse_query(sql).unwrap(), "t", Provenance::Seed);
-            p.nl_lemmas = lem.lemmatize_sentence(nl);
-            pairs.push(p);
-        }
-        TrainingCorpus::from_pairs(pairs)
+        ])
     }
 
     fn small_model() -> Seq2SeqModel {
@@ -636,27 +640,16 @@ mod tests {
 
     #[test]
     fn retraining_resets_state() {
-        let other = {
-            let lem = Lemmatizer::new();
-            let data = [
-                ("list every doctor", "SELECT * FROM doctors"),
-                ("count the doctors", "SELECT COUNT(*) FROM doctors"),
-                (
-                    "which specialty has doctor @NAME",
-                    "SELECT specialty FROM doctors WHERE name = @NAME",
-                ),
-            ];
-            let pairs = data
-                .iter()
-                .map(|&(nl, sql)| {
-                    let mut p =
-                        TrainingPair::new(nl, parse_query(sql).unwrap(), "t", Provenance::Seed);
-                    p.nl_lemmas = lem.lemmatize_sentence(nl);
-                    p
-                })
-                .collect();
-            TrainingCorpus::from_pairs(pairs)
-        };
+        // Another vocabulary: tables left from this run would be the
+        // wrong size and hold the wrong weights.
+        let other = corpus_of(&[
+            ("list every doctor", "SELECT * FROM doctors"),
+            ("count the doctors", "SELECT COUNT(*) FROM doctors"),
+            (
+                "which specialty has doctor @NAME",
+                "SELECT specialty FROM doctors WHERE name = @NAME",
+            ),
+        ]);
         let mut fresh = small_model();
         fresh.train(&tiny_corpus(), &pin_options());
         let mut retrained = small_model();
