@@ -2,8 +2,8 @@
 //! analyzer gates a generated corpus, single-threaded vs parallel
 //! (`dbpal_util::bench` harness).
 //!
-//! Run with `cargo bench`; under `cargo test` each benchmark executes a
-//! single smoke iteration. Set `DBPAL_BENCH_JSON=<path>` for a
+//! Run with `cargo bench` for full measurement, or `cargo bench --
+//! --quick` for the quick profile. Set `DBPAL_BENCH_JSON=<path>` for a
 //! machine-readable report.
 
 use dbpal_analyze::{Analyzer, AnalyzerPolicy};

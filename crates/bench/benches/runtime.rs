@@ -1,8 +1,8 @@
 //! Microbenchmarks for the runtime phase: anonymization, join-path
 //! inference, translation, and execution (`dbpal_util::bench` harness).
 //!
-//! Run with `cargo bench`; under `cargo test` each benchmark executes a
-//! single smoke iteration.
+//! Run with `cargo bench` for full measurement, or `cargo bench --
+//! --quick` for the quick profile.
 
 use dbpal_core::{GenerationConfig, TrainOptions, TrainingPipeline, TranslationModel};
 use dbpal_engine::Database;

@@ -3,7 +3,7 @@
 //! translations (`dbpal_util::bench` harness).
 //!
 //! Run with `cargo bench` for full measurement, or `cargo bench --
-//! --quick` for the smoke profile. `DBPAL_BENCH_JSON=<path>` writes the
+//! --quick` for the quick profile. `DBPAL_BENCH_JSON=<path>` writes the
 //! machine-readable `BENCH_serve.json` that records the serving-perf
 //! trajectory (schema in DESIGN.md).
 
