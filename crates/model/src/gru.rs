@@ -11,7 +11,7 @@
 // than zipped iterators for the backward pass.
 #![allow(clippy::needless_range_loop)]
 
-use crate::math::{matvec, matvec_t_acc, outer_acc, sigmoid, Param};
+use crate::math::{matvec, matvec_cols, matvec_t_acc, outer_acc, sigmoid, transpose, Param};
 use dbpal_util::Rng;
 
 /// GRU parameters for one layer.
@@ -30,8 +30,54 @@ pub struct GruCell {
     hidden_dim: usize,
 }
 
+/// Column-major copies (see [`matvec_cols`]) of a cell's recurrent
+/// matrices, made once its weights are final.
+#[derive(Debug, Default)]
+pub(crate) struct RecurrentCols {
+    /// `[Uz; Ur]` as one `2h × h` matrix: both multiply `h`.
+    pub(crate) uzr: Vec<f32>,
+    /// `Uh` (`h × h`).
+    pub(crate) uh: Vec<f32>,
+}
+
+/// The recurrent matrices one [`GruCell::step`] multiplies by. The step
+/// is the same for both layouts, and so are its bits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Recurrent<'a> {
+    /// The cell's own row-major `Uz`, `Ur`, `Uh`, through [`matvec`]:
+    /// training, whose Adam steps change them after every example.
+    Rows(&'a GruCell),
+    /// Frozen column-major copies, through [`matvec_cols`]: decoding.
+    Cols(&'a RecurrentCols),
+}
+
+impl Recurrent<'_> {
+    /// `out = [Uz h; Ur h]` (`2h`).
+    fn zr(self, h: &[f32], out: &mut [f32]) {
+        let hd = h.len();
+        match self {
+            Recurrent::Rows(cell) => {
+                let (oz, or) = out.split_at_mut(hd);
+                matvec(&cell.uz.w, hd, hd, h, oz);
+                matvec(&cell.ur.w, hd, hd, h, or);
+            }
+            Recurrent::Cols(u) => matvec_cols(&u.uzr, 2 * hd, hd, h, out),
+        }
+    }
+
+    /// `out = Uh rh`.
+    fn uh(self, rh: &[f32], out: &mut [f32]) {
+        let hd = rh.len();
+        match self {
+            Recurrent::Rows(cell) => matvec(&cell.uh.w, hd, hd, rh, out),
+            Recurrent::Cols(u) => matvec_cols(&u.uh, hd, hd, rh, out),
+        }
+    }
+}
+
 /// Reused buffers of [`GruCell::step`]: the gate activations of the
-/// last step and one matvec output.
+/// last step and the recurrent products (`2h`: `[Uz h; Ur h]`, then
+/// `Uh (r ⊙ h)` in the first half).
 #[derive(Debug, Clone)]
 pub(crate) struct GruScratch {
     z: Vec<f32>,
@@ -49,7 +95,7 @@ impl GruScratch {
             r: vec![0.0; hidden_dim],
             hbar: vec![0.0; hidden_dim],
             rh: vec![0.0; hidden_dim],
-            tmp: vec![0.0; hidden_dim],
+            tmp: vec![0.0; 2 * hidden_dim],
         }
     }
 }
@@ -105,25 +151,33 @@ impl GruCell {
         matvec(&self.wh.w, h, self.input_dim, x, oh);
     }
 
+    /// Column-major copies of this cell's recurrent matrices.
+    pub(crate) fn recurrent_cols(&self) -> RecurrentCols {
+        let h = self.hidden_dim;
+        RecurrentCols {
+            uzr: transpose(&[self.uz.w.as_slice(), &self.ur.w].concat(), 2 * h, h),
+            uh: transpose(&self.uh.w, h, h),
+        }
+    }
+
     /// One step from a projected input `xin` (see
-    /// [`GruCell::project_input`]), overwriting `h` with the next hidden
-    /// state. Leaves this step's gates in `s`.
-    pub(crate) fn step(&self, xin: &[f32], h: &mut [f32], s: &mut GruScratch) {
+    /// [`GruCell::project_input`]) over the recurrent matrices `u`,
+    /// overwriting `h` with the next hidden state. Leaves this step's
+    /// gates in `s`.
+    pub(crate) fn step(&self, xin: &[f32], u: Recurrent<'_>, h: &mut [f32], s: &mut GruScratch) {
         let hd = self.hidden_dim;
         let (xz, rest) = xin.split_at(hd);
         let (xr, xh) = rest.split_at(hd);
-        matvec(&self.uz.w, hd, hd, h, &mut s.tmp);
+        u.zr(h, &mut s.tmp);
+        let (uz_h, ur_h) = s.tmp.split_at(hd);
         for i in 0..hd {
-            s.z[i] = sigmoid(xz[i] + s.tmp[i] + self.bz.w[i]);
-        }
-        matvec(&self.ur.w, hd, hd, h, &mut s.tmp);
-        for i in 0..hd {
-            s.r[i] = sigmoid(xr[i] + s.tmp[i] + self.br.w[i]);
+            s.z[i] = sigmoid(xz[i] + uz_h[i] + self.bz.w[i]);
+            s.r[i] = sigmoid(xr[i] + ur_h[i] + self.br.w[i]);
         }
         for i in 0..hd {
             s.rh[i] = s.r[i] * h[i];
         }
-        matvec(&self.uh.w, hd, hd, &s.rh, &mut s.tmp);
+        u.uh(&s.rh, &mut s.tmp[..hd]);
         for i in 0..hd {
             s.hbar[i] = (xh[i] + s.tmp[i] + self.bh.w[i]).tanh();
         }
@@ -139,7 +193,7 @@ impl GruCell {
         self.project_input(x, &mut xin);
         let mut h_new = h_prev.to_vec();
         let mut s = GruScratch::new(self.hidden_dim);
-        self.step(&xin, &mut h_new, &mut s);
+        self.step(&xin, Recurrent::Rows(self), &mut h_new, &mut s);
         let GruScratch { z, r, hbar, rh, .. } = s;
         let cache = GruCache {
             x: x.to_vec(),
@@ -330,24 +384,34 @@ mod tests {
             .collect()
     }
 
+    /// `forward`, and `step` over either weight view, each run along its
+    /// own hidden state, all give the equations' bits.
     #[test]
     fn step_matches_forward_and_equations_bitwise() {
         for (d, h, seed) in [(32, 48, 23), (3, 4, 29)] {
             let mut rng = Rng::seed_from_u64(seed);
             let cell = GruCell::new(d, h, &mut rng);
+            let cols = cell.recurrent_cols();
             let mut s = GruScratch::new(h);
             let mut xin = vec![0.0; 3 * h];
-            let mut h_step = vec![0.0; h];
+            let mut h_rows = vec![0.0; h];
+            let mut h_cols = vec![0.0; h];
             let mut h_fwd = vec![0.0; h];
             for t in 0..100 {
                 let x: Vec<f32> = (0..d).map(|_| rng.gen_range(-1.5f32..1.5)).collect();
                 let want = reference_step(&cell, &x, &h_fwd);
                 let (h_new, _) = cell.forward(&x, &h_fwd);
                 cell.project_input(&x, &mut xin);
-                cell.step(&xin, &mut h_step, &mut s);
+                cell.step(&xin, Recurrent::Rows(&cell), &mut h_rows, &mut s);
+                cell.step(&xin, Recurrent::Cols(&cols), &mut h_cols, &mut s);
                 let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&h_new), bits(&want), "forward, ({d}, {h}) step {t}");
-                assert_eq!(bits(&h_step), bits(&want), "step, ({d}, {h}) step {t}");
+                assert_eq!(bits(&h_rows), bits(&want), "row view, ({d}, {h}) step {t}");
+                assert_eq!(
+                    bits(&h_cols),
+                    bits(&want),
+                    "column view, ({d}, {h}) step {t}"
+                );
                 h_fwd = h_new;
             }
         }

@@ -122,6 +122,69 @@ pub fn matvec(w: &[f32], rows: usize, cols: usize, x: &[f32], out: &mut [f32]) {
     }
 }
 
+/// `out = W x` for `W: [rows x cols]` stored column-major
+/// (`wt[c * rows + r] = W[r][c]`, see [`transpose`]), `x: [cols]`.
+///
+/// Runs 16 rows at a time in a local accumulator array that starts at
+/// `-0.0`; for each `c` in ascending order the block adds
+/// `W[r][c] * x[c]` to every row's accumulator. So each output is
+/// [`dot`]'s fold over its row, bit for bit, while the compiler packs
+/// the block's rows, never one row's columns, into SIMD lanes. Rows
+/// left over after the last full block go through shorter blocks of
+/// 8, 4, 2 and 1 rows, one per set bit of their count.
+pub fn matvec_cols(wt: &[f32], rows: usize, cols: usize, x: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(wt.len(), rows * cols);
+    debug_assert_eq!(x.len(), cols);
+    debug_assert_eq!(out.len(), rows);
+    // `rows == 0` runs no block, which keeps `chunks_exact(0)` away;
+    // `cols == 0` leaves each block at `-0.0`, `dot` of empty slices.
+    let mut r0 = 0;
+    while rows - r0 >= 16 {
+        r0 = col_block::<16>(wt, rows, r0, x, out);
+    }
+    if rows - r0 >= 8 {
+        r0 = col_block::<8>(wt, rows, r0, x, out);
+    }
+    if rows - r0 >= 4 {
+        r0 = col_block::<4>(wt, rows, r0, x, out);
+    }
+    if rows - r0 >= 2 {
+        r0 = col_block::<2>(wt, rows, r0, x, out);
+    }
+    if rows - r0 == 1 {
+        col_block::<1>(wt, rows, r0, x, out);
+    }
+}
+
+/// Rows `r0..r0 + N` of [`matvec_cols`] into `out`; returns `r0 + N`.
+/// `N` is a constant, so the accumulators stay in registers.
+#[inline(always)]
+fn col_block<const N: usize>(
+    wt: &[f32],
+    rows: usize,
+    r0: usize,
+    x: &[f32],
+    out: &mut [f32],
+) -> usize {
+    let mut acc = [-0.0f32; N];
+    for (col, &xc) in wt.chunks_exact(rows).zip(x) {
+        for (a, &w) in acc.iter_mut().zip(&col[r0..r0 + N]) {
+            *a += w * xc;
+        }
+    }
+    out[r0..r0 + N].copy_from_slice(&acc);
+    r0 + N
+}
+
+/// The column-major copy of row-major `W: [rows x cols]`, the layout
+/// [`matvec_cols`] reads.
+pub fn transpose(w: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    debug_assert_eq!(w.len(), rows * cols);
+    (0..rows * cols)
+        .map(|i| w[(i % rows) * cols + i / rows])
+        .collect()
+}
+
 /// `out += Wᵀ y` for row-major `W: [rows x cols]`, `y: [rows]`.
 pub fn matvec_t_acc(w: &[f32], rows: usize, cols: usize, y: &[f32], out: &mut [f32]) {
     debug_assert_eq!(out.len(), cols);
@@ -229,23 +292,33 @@ mod tests {
             .collect()
     }
 
+    /// Both kernels against `dot`, row by row: `matvec` on the matrix,
+    /// `matvec_cols` on its transpose. The row counts fill `matvec`'s
+    /// 4-row groups and `matvec_cols`'s 16-row blocks and leave every
+    /// shorter block, up to the shapes the Seq2Seq model multiplies
+    /// (96 = `[Uz; Ur]` at h = 48, 57 = the e2ebench model's `w_out`).
     #[test]
     fn matvec_rows_match_dot_bitwise() {
         let mut rng = Rng::seed_from_u64(89);
+        let row_counts = (0..10).chain([15, 16, 17, 31, 32, 33, 57, 96, 144]);
         for cols in [0, 1, 3, 4, 5, 31, 32, 33, 48, 96] {
             let x: Vec<f32> = (0..cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-            for rows in 0..10 {
+            for rows in row_counts.clone() {
                 let w: Vec<f32> = (0..rows).flat_map(|r| test_row(r, &x, &mut rng)).collect();
-                let mut out = vec![f32::NAN; rows];
-                matvec(&w, rows, cols, &x, &mut out);
-                for (r, &o) in out.iter().enumerate() {
+                let mut by_rows = vec![f32::NAN; rows];
+                matvec(&w, rows, cols, &x, &mut by_rows);
+                let mut by_cols = vec![f32::NAN; rows];
+                matvec_cols(&transpose(&w, rows, cols), rows, cols, &x, &mut by_cols);
+                for r in 0..rows {
                     let want = dot(&w[r * cols..(r + 1) * cols], &x);
-                    assert!(
-                        same_bits(o, want),
-                        "{rows}x{cols} row {r}: {o:e} ({:#x}) vs dot {want:e} ({:#x})",
-                        o.to_bits(),
-                        want.to_bits()
-                    );
+                    for (kernel, o) in [("matvec", by_rows[r]), ("matvec_cols", by_cols[r])] {
+                        assert!(
+                            same_bits(o, want),
+                            "{kernel} {rows}x{cols} row {r}: {o:e} ({:#x}) vs dot {want:e} ({:#x})",
+                            o.to_bits(),
+                            want.to_bits()
+                        );
+                    }
                 }
             }
         }

@@ -7,8 +7,8 @@
 //! Everything — forward, backward, optimizer — is implemented manually in
 //! this crate; there is no external ML dependency.
 
-use crate::gru::{GruCache, GruCell, GruScratch};
-use crate::math::{dot, matvec, outer_acc, softmax_inplace, Param};
+use crate::gru::{GruCache, GruCell, GruScratch, Recurrent, RecurrentCols};
+use crate::math::{dot, matvec, matvec_cols, outer_acc, softmax_inplace, transpose, Param};
 use crate::vocab::{Vocab, EOS, SOS};
 use dbpal_core::{TrainOptions, TrainingCorpus, TranslationModel};
 use dbpal_sql::{parse_query, Query};
@@ -66,6 +66,12 @@ pub struct Seq2SeqModel {
     /// The decoder's input projection of every `tgt_embed` row
     /// (`|tgt| × 3h`); built by `train`.
     dec_in: Vec<f32>,
+    /// The encoder's recurrent matrices, column-major; built by `train`.
+    enc_u: RecurrentCols,
+    /// The decoder's recurrent matrices, column-major; built by `train`.
+    dec_u: RecurrentCols,
+    /// `w_out` column-major (see [`matvec_cols`]); built by `train`.
+    w_out_cols: Vec<f32>,
     adam_t: usize,
     /// Mean cross-entropy per epoch of the last training run.
     pub epoch_losses: Vec<f32>,
@@ -87,6 +93,9 @@ impl Seq2SeqModel {
             b_out: Param::zeros(4),
             enc_in: Vec::new(),
             dec_in: Vec::new(),
+            enc_u: RecurrentCols::default(),
+            dec_u: RecurrentCols::default(),
+            w_out_cols: Vec::new(),
             adam_t: 0,
             epoch_losses: Vec::new(),
             cfg,
@@ -109,6 +118,9 @@ impl Seq2SeqModel {
         self.b_out = Param::zeros(self.tgt_vocab.len());
         self.enc_in.clear();
         self.dec_in.clear();
+        self.enc_u = RecurrentCols::default();
+        self.dec_u = RecurrentCols::default();
+        self.w_out_cols.clear();
         self.adam_t = 0;
         self.epoch_losses.clear();
     }
@@ -308,9 +320,9 @@ impl Seq2SeqModel {
 
     /// Greedy decoding of a source id sequence into target ids: the
     /// float operations of `train_example`'s forward pass, in its order,
-    /// with the GRU input projections read from `enc_in`/`dec_in`. Every
-    /// buffer is a local of this call, so concurrent calls share nothing
-    /// mutable.
+    /// with the GRU input projections read from `enc_in`/`dec_in` and
+    /// every matrix product over a column-major copy. Every buffer is a
+    /// local of this call, so concurrent calls share nothing mutable.
     fn decode_greedy(&self, src: &[usize]) -> Vec<usize> {
         let h_dim = self.cfg.hidden_dim;
         let w = 3 * h_dim;
@@ -319,13 +331,19 @@ impl Seq2SeqModel {
         let mut scratch = GruScratch::new(h_dim);
 
         // Encoder: `states` holds the hidden state after each source
-        // token, row after row; `h` ends as the last one.
+        // token, row after row, and `states_cols` the same `n × h`
+        // matrix column-major; `h` ends as the last state.
         let mut h = vec![0.0; h_dim];
         let mut states = vec![0.0; n * h_dim];
+        let mut states_cols = vec![0.0; n * h_dim];
         for (i, &id) in src.iter().enumerate() {
             let xin = &self.enc_in[id * w..(id + 1) * w];
-            self.encoder.step(xin, &mut h, &mut scratch);
+            self.encoder
+                .step(xin, Recurrent::Cols(&self.enc_u), &mut h, &mut scratch);
             states[i * h_dim..(i + 1) * h_dim].copy_from_slice(&h);
+            for (j, &v) in h.iter().enumerate() {
+                states_cols[j * n + i] = v;
+            }
         }
 
         let mut attn = vec![0.0; n];
@@ -335,11 +353,11 @@ impl Seq2SeqModel {
         let mut out = Vec::new();
         for _ in 0..self.cfg.max_decode_len {
             let xin = &self.dec_in[prev * w..(prev + 1) * w];
-            self.decoder.step(xin, &mut h, &mut scratch);
-            // Dot-product attention over encoder states.
-            for (i, a) in attn.iter_mut().enumerate() {
-                *a = dot(&h, &states[i * h_dim..(i + 1) * h_dim]);
-            }
+            self.decoder
+                .step(xin, Recurrent::Cols(&self.dec_u), &mut h, &mut scratch);
+            // Dot-product attention over encoder states: `dot(h, state)`
+            // per state, as products commute.
+            matvec_cols(&states_cols, n, h_dim, &h, &mut attn);
             if n > 0 {
                 softmax_inplace(&mut attn);
             }
@@ -353,7 +371,7 @@ impl Seq2SeqModel {
                     *c += a * s;
                 }
             }
-            matvec(&self.w_out.w, vt, 2 * h_dim, &hc, &mut probs);
+            matvec_cols(&self.w_out_cols, vt, 2 * h_dim, &hc, &mut probs);
             for (l, b) in probs.iter_mut().zip(&self.b_out.w) {
                 *l += b;
             }
@@ -420,9 +438,13 @@ impl TranslationModel for Seq2SeqModel {
                 eprintln!("[seq2seq] epoch {epoch}: loss {mean:.4}");
             }
         }
-        // The weights are final: project every embedding row once.
+        // The weights are final: project every embedding row once and
+        // copy the matrices decoding multiplies into column-major order.
         self.enc_in = Self::input_table(&self.encoder, &self.src_embed);
         self.dec_in = Self::input_table(&self.decoder, &self.tgt_embed);
+        self.enc_u = self.encoder.recurrent_cols();
+        self.dec_u = self.decoder.recurrent_cols();
+        self.w_out_cols = transpose(&self.w_out.w, self.w_out.rows, self.w_out.cols);
     }
 
     fn translate(&self, nl_lemmas: &[String]) -> Option<Query> {
@@ -635,6 +657,39 @@ mod tests {
                 cell.project_input(Seq2SeqModel::embed(embed, id), &mut row);
                 assert_eq!(bits(&table[id * w..(id + 1) * w]), bits(&row), "row {id}");
             }
+        }
+
+        // Each frozen copy holds `W[r][c]` at `c * rows + r`.
+        let is_transpose = |cols: &[f32], w: &[f32], rows: usize, what: &str| {
+            let n = w.len() / rows;
+            assert_eq!(cols.len(), w.len(), "{what}");
+            for (r, row) in w.chunks_exact(n).enumerate() {
+                for (c, &v) in row.iter().enumerate() {
+                    assert_eq!(
+                        cols[c * rows + r].to_bits(),
+                        v.to_bits(),
+                        "{what} [{r}][{c}]"
+                    );
+                }
+            }
+        };
+        let h = m.cfg.hidden_dim;
+        for (cell, u, what) in [
+            (&mut m.encoder, &m.enc_u, "encoder"),
+            (&mut m.decoder, &m.dec_u, "decoder"),
+        ] {
+            // `params_mut` lists `[Wz, Uz, bz, Wr, Ur, br, Wh, Uh, bh]`.
+            let p = cell.params_mut();
+            let uzr = [p[1].w.as_slice(), &p[4].w].concat();
+            is_transpose(&u.uzr, &uzr, 2 * h, what);
+            is_transpose(&u.uh, &p[7].w, h, what);
+        }
+        is_transpose(&m.w_out_cols, &m.w_out.w, m.w_out.rows, "w_out");
+
+        m.reset(0);
+        assert!(m.enc_in.is_empty() && m.dec_in.is_empty() && m.w_out_cols.is_empty());
+        for u in [&m.enc_u, &m.dec_u] {
+            assert!(u.uzr.is_empty() && u.uh.is_empty());
         }
     }
 
