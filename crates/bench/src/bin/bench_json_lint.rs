@@ -2,7 +2,8 @@
 //! parse with the in-repo JSON parser and match the bench-report schema
 //! (DESIGN.md "Serving & observability"): a `group` string plus a
 //! `benchmarks` array whose entries carry name, median/min/max
-//! nanoseconds, iterations per sample, and a sample count of at least
+//! nanoseconds, the samples' MAD (finite, within `[0, max_ns − min_ns]`),
+//! iterations per sample, and a sample count of at least
 //! [`MIN_SAMPLES`], so every row carries its own spread.
 //!
 //! This is what makes the machine-readable perf trajectory trustworthy:
@@ -157,17 +158,24 @@ fn check_report(doc: &Json) -> Result<(usize, String), String> {
     for (i, b) in benchmarks.iter().enumerate() {
         let ctx = format!("benchmarks[{i}]");
         strings(&ctx, b, &["name"])?;
-        let [.., samples] = numbers(
+        let [_, min, max, mad, _, samples] = numbers(
             &ctx,
             b,
             [
                 "median_ns",
                 "min_ns",
                 "max_ns",
+                "mad_ns",
                 "iters_per_sample",
                 "samples",
             ],
         )?;
+        if !(mad.is_finite() && mad <= max - min) {
+            return Err(format!(
+                "{ctx}: mad_ns {mad} outside [0, max_ns - min_ns = {}]",
+                max - min
+            ));
+        }
         if samples < MIN_SAMPLES {
             return Err(format!(
                 "{ctx}: {samples} samples, fewer than {MIN_SAMPLES}"

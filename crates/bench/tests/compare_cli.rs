@@ -23,7 +23,7 @@ fn report(group: &str, rows: &[(&str, u64)]) -> String {
         let _ = write!(
             out,
             "{{\"name\": \"{name}\", \"median_ns\": {median}, \"min_ns\": {median}, \
-             \"max_ns\": {median}, \"iters_per_sample\": 1, \"samples\": 5}}"
+             \"max_ns\": {median}, \"mad_ns\": 0, \"iters_per_sample\": 1, \"samples\": 5}}"
         );
     }
     out.push_str("]}");

@@ -9,7 +9,7 @@ use std::process::{Command, Output};
 
 use common::{stderr_of, Fixtures};
 
-const BENCHMARKS: &str = r#"[{"name": "x/y", "median_ns": 10, "min_ns": 9, "max_ns": 12, "iters_per_sample": 1, "samples": 5}]"#;
+const BENCHMARKS: &str = r#"[{"name": "x/y", "median_ns": 10, "min_ns": 9, "max_ns": 12, "mad_ns": 1, "iters_per_sample": 1, "samples": 5}]"#;
 
 const LOAD: &str = r#"{"clients": 4, "batch": 4, "warmup_requests": 32, "measured_requests": 160, "queries": 640, "qps": 1234.5, "p50_ns": 10, "p95_ns": 20, "p99_ns": 30, "protocol_errors": 0, "answer_mismatches": 0, "sheds": 0, "digest": "5e0f359903713de6"}"#;
 
@@ -80,6 +80,11 @@ fn each_broken_rule_fails_with_its_diagnostic() {
             "negative_benchmark_median",
             edit(&serve, "\"median_ns\": 10", "\"median_ns\": -10"),
             "benchmarks[0]: negative `median_ns`",
+        ),
+        (
+            "mad_wider_than_spread",
+            edit(&serve, "\"mad_ns\": 1", "\"mad_ns\": 4"),
+            "benchmarks[0]: mad_ns 4 outside [0, max_ns - min_ns = 3]",
         ),
         (
             "too_few_samples",

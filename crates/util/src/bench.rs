@@ -3,7 +3,8 @@
 //! Each benchmark is calibrated (iterations per sample chosen so a
 //! sample takes roughly [`Config::target_sample`]), warmed up, then
 //! measured for [`Config::samples`] samples; the report shows the
-//! median, minimum, and maximum per-iteration time. Results can also be
+//! median, minimum, and maximum per-iteration time, and the JSON report
+//! adds the samples' median absolute deviation. Results can also be
 //! dumped as JSON — set `DBPAL_BENCH_JSON=<path>` (or `-` for stdout)
 //! to get a machine-readable record of the run.
 //!
@@ -97,6 +98,9 @@ pub struct Measurement {
     pub min: Duration,
     /// Slowest sample's per-iteration time.
     pub max: Duration,
+    /// Median absolute deviation: the median of `|sample − median|`
+    /// over the per-iteration samples.
+    pub mad: Duration,
     /// Iterations per sample after calibration.
     pub iters_per_sample: u64,
     /// Number of measured samples.
@@ -168,11 +172,13 @@ impl Harness {
             per_iter.push(total / iters as u32);
         }
         per_iter.sort_unstable();
+        let median = per_iter[per_iter.len() / 2];
         let m = Measurement {
             name: name.to_string(),
-            median: per_iter[per_iter.len() / 2],
+            median,
             min: per_iter[0],
             max: per_iter[per_iter.len() - 1],
+            mad: mad(&per_iter, median),
             iters_per_sample: iters,
             samples: per_iter.len(),
         };
@@ -252,6 +258,7 @@ impl Harness {
                                 ("median_ns".into(), Json::Num(m.median.as_nanos() as f64)),
                                 ("min_ns".into(), Json::Num(m.min.as_nanos() as f64)),
                                 ("max_ns".into(), Json::Num(m.max.as_nanos() as f64)),
+                                ("mad_ns".into(), Json::Num(m.mad.as_nanos() as f64)),
                                 (
                                     "iters_per_sample".into(),
                                     Json::Num(m.iters_per_sample as f64),
@@ -304,6 +311,14 @@ impl Harness {
     }
 }
 
+/// The median of `|sample − median|`, taken as the report takes the
+/// median: the upper middle element. `samples` must not be empty.
+fn mad(samples: &[Duration], median: Duration) -> Duration {
+    let mut deviations: Vec<Duration> = samples.iter().map(|&d| d.abs_diff(median)).collect();
+    deviations.sort_unstable();
+    deviations[deviations.len() / 2]
+}
+
 /// Render a duration with an auto-scaled unit (`ns`/`µs`/`ms`/`s`).
 pub fn fmt_dur(d: Duration) -> String {
     let ns = d.as_nanos();
@@ -338,6 +353,7 @@ mod tests {
         assert_eq!(m.samples, 3);
         assert!(m.iters_per_sample >= 1);
         assert!(m.min <= m.median && m.median <= m.max);
+        assert!(m.mad <= m.max - m.min);
     }
 
     #[test]
@@ -364,6 +380,7 @@ mod tests {
         assert_eq!(benches.len(), 1);
         assert_eq!(benches[0].get("name").unwrap().as_str(), Some("noop"));
         assert!(benches[0].get("median_ns").unwrap().as_f64().unwrap() >= 0.0);
+        assert!(benches[0].get("mad_ns").unwrap().as_f64().unwrap() >= 0.0);
     }
 
     #[test]
@@ -373,6 +390,19 @@ mod tests {
         let m = &h.results()[0];
         assert!(m.iters_per_sample >= 32, "iters {}", m.iters_per_sample);
         assert_eq!(m.samples, 5);
+    }
+
+    #[test]
+    fn mad_is_the_median_deviation() {
+        let ns = |v: &[u64]| {
+            v.iter()
+                .map(|&n| Duration::from_nanos(n))
+                .collect::<Vec<_>>()
+        };
+        let samples = ns(&[10, 11, 13, 14, 90]);
+        // Deviations from 13: 3, 2, 0, 1, 77.
+        assert_eq!(mad(&samples, samples[2]), Duration::from_nanos(2));
+        assert_eq!(mad(&ns(&[7]), Duration::from_nanos(7)), Duration::ZERO);
     }
 
     #[test]
