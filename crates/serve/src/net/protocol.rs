@@ -98,7 +98,7 @@ impl ErrorKind {
     }
 
     /// Parse the wire string.
-    pub fn from_str(s: &str) -> Option<Self> {
+    pub fn from_label(s: &str) -> Option<Self> {
         Some(match s {
             "malformed_json" => ErrorKind::MalformedJson,
             "bad_request" => ErrorKind::BadRequest,
@@ -505,7 +505,7 @@ impl Response {
                     .get("kind")
                     .and_then(Json::as_str)
                     .ok_or("error response missing `kind`")?;
-                let kind = ErrorKind::from_str(kind_str)
+                let kind = ErrorKind::from_label(kind_str)
                     .ok_or_else(|| format!("unknown error kind `{kind_str}`"))?;
                 Ok(Response::Error {
                     kind,
@@ -675,8 +675,8 @@ mod tests {
             ErrorKind::Draining,
             ErrorKind::Busy,
         ] {
-            assert_eq!(ErrorKind::from_str(k.as_str()), Some(k));
+            assert_eq!(ErrorKind::from_label(k.as_str()), Some(k));
         }
-        assert_eq!(ErrorKind::from_str("nope"), None);
+        assert_eq!(ErrorKind::from_label("nope"), None);
     }
 }

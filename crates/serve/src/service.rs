@@ -183,8 +183,8 @@ struct Tenant<M: TranslationModel> {
 
 /// How one admitted query obtains its translation.
 enum Plan {
-    /// Served from the cache.
-    Hit(Query),
+    /// Served from the cache: the `i`-th hit of this batch.
+    Hit(usize),
     /// Waits on the `i`-th unique translation of this batch.
     Translate(usize),
 }
@@ -468,7 +468,8 @@ impl<M: TranslationModel + Send + Sync> QueryService<M> {
         // batch order. Repeated in-batch misses coalesce per key onto
         // one pending translation, which is what a sequential server
         // would compute too. Pending entries borrow their key and lemma
-        // ids from phase 1.
+        // ids from phase 1; hits hold a copy of the cached query.
+        let mut hits: Vec<Query> = Vec::new();
         let mut pending: Vec<(&str, &[Sym])> = Vec::new();
         let mut pending_index: BTreeMap<&str, usize> = BTreeMap::new();
         let plans: Vec<Plan> = {
@@ -478,7 +479,8 @@ impl<M: TranslationModel + Send + Sync> QueryService<M> {
                     if let Some(q) = cache.get(&t.id, key) {
                         m.cache_hit.inc();
                         t.m.cache_hit.inc();
-                        return Plan::Hit(q.clone());
+                        hits.push(q.clone());
+                        return Plan::Hit(hits.len() - 1);
                     }
                     m.cache_miss.inc();
                     t.m.cache_miss.inc();
@@ -521,7 +523,7 @@ impl<M: TranslationModel + Send + Sync> QueryService<M> {
         // against the tenant's database.
         pool.map_indexed(&plans, workers, |i, plan| {
             let (translation, hit) = match plan {
-                Plan::Hit(q) => (Some(q), true),
+                Plan::Hit(j) => (Some(&hits[*j]), true),
                 Plan::Translate(j) => (translated[*j].as_ref(), false),
             };
             let outcome = self.finish(nlidb, &pre[i].0, translation, hit);
