@@ -1,6 +1,6 @@
-//! Microbenchmarks for the serving layer: warm-cache answers, cold
-//! batches, worker-count scaling, and the served Seq2Seq model's
-//! translations (`dbpal_util::bench` harness).
+//! Microbenchmarks for the serving layer: warm-cache answers, cold and
+//! warm batches, and the served Seq2Seq model's translations
+//! (`dbpal_util::bench` harness).
 //!
 //! Run with `cargo bench` for full measurement, or `cargo bench --
 //! --quick` for the quick profile. `DBPAL_BENCH_JSON=<path>` writes the
@@ -19,13 +19,10 @@ use dbpal_serve::{QueryService, ServeConfig};
 use dbpal_util::bench::{black_box, BenchOpts, Config, Harness};
 use dbpal_util::{Fnv1a, Rng, SliceRandom};
 
-fn service(workers: usize) -> QueryService<ScriptedModel> {
+fn service() -> QueryService<ScriptedModel> {
     QueryService::new(
         Nlidb::new(hospital_db(), hospital_script()),
-        ServeConfig {
-            workers,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
     )
 }
 
@@ -83,7 +80,7 @@ fn main() {
     // anonymize + lemmatize + postprocess + execute.
     // Sub-millisecond routine: floor the iteration count so the
     // quick-mode baseline records a real median, not one timer tick.
-    let warm = service(1);
+    let warm = service();
     warm.answer("How many patients have influenza?").unwrap();
     h.bench_opts(
         "serve/answer_warm_cache",
@@ -93,29 +90,20 @@ fn main() {
 
     // Cold start: a fresh service pays translation for each unique key.
     let batch = mixed_batch(16);
-    h.bench_with_setup(
-        "serve/batch16_cold",
-        || service(1),
-        |svc| black_box(svc.submit_batch(&batch).len()),
-    );
+    h.bench_with_setup("serve/batch16_cold", service, |svc| {
+        black_box(svc.submit_batch(&batch).len())
+    });
 
-    // Worker scaling on one warm service: identical counters by
-    // construction, wall-clock only. Single-CPU containers will show no
-    // speedup; the pair still pins the overhead of the fan-out.
-    // The `--compare` parity gate judges this pair's medians, so even
-    // quick runs iterate enough that one scheduler hiccup does not read
-    // as a fan-out regression.
-    let scaling = BenchOpts { min_iters: 16 };
+    // A full-depth request on a warm service: every question hits, so
+    // the row times the per-question path of one request served on its
+    // caller's thread. Quick runs iterate enough that one scheduler
+    // hiccup does not set the median.
     let big = mixed_batch(64);
-    for workers in [1usize, 4] {
-        let svc = service(workers);
-        svc.submit_batch(&big); // warm the cache
-        h.bench_opts(
-            &format!("serve/batch64_warm_workers{workers}"),
-            scaling,
-            || black_box(svc.submit_batch(&big).len()),
-        );
-    }
+    let svc = service();
+    svc.submit_batch(&big); // warm the cache
+    h.bench_opts("serve/batch64_warm", BenchOpts { min_iters: 16 }, || {
+        black_box(svc.submit_batch(&big).len())
+    });
 
     // One translation pass of the served model over the 399 lemmatized
     // ParaphraseBench questions. The training losses and the

@@ -9,8 +9,8 @@
 //! the band above its baseline is a regression, more than the band
 //! below means the baseline itself is stale and must be regenerated.
 //! Independent of the band, thread-scaling pairs must not invert: the
-//! 4-worker variant of a group's scaling benchmark must finish within
-//! `DBPAL_BENCH_PARITY` (default ×1.05) of its 1-worker twin — the
+//! 4-thread variant of a group's scaling benchmark must finish within
+//! `DBPAL_BENCH_PARITY` (default ×1.05) of its 1-thread twin — the
 //! persistent worker pool's whole point is that fan-out never costs
 //! more than running inline.
 
@@ -32,18 +32,11 @@ pub const GROUP_TOLERANCE: &[(&str, f64)] = &[("corpus", 4.0)];
 /// benchmark, one-worker benchmark)`. Both members are *required* in
 /// the named group's fresh report — a renamed benchmark must not
 /// silently drop the invariant.
-pub const PARITY_PAIRS: &[(&str, &str, &str)] = &[
-    (
-        "pipeline",
-        "pipeline/generate_threads4",
-        "pipeline/generate_threads1",
-    ),
-    (
-        "serve",
-        "serve/batch64_warm_workers4",
-        "serve/batch64_warm_workers1",
-    ),
-];
+pub const PARITY_PAIRS: &[(&str, &str, &str)] = &[(
+    "pipeline",
+    "pipeline/generate_threads4",
+    "pipeline/generate_threads1",
+)];
 
 /// `DBPAL_BENCH_PARITY`, or [`DEFAULT_PARITY`]. Values ≤ 1 rejected.
 pub fn parity_from_env() -> Result<f64, String> {

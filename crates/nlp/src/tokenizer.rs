@@ -1,6 +1,6 @@
 //! Word tokenization for NL queries.
 
-/// Reusable tokenization buffers. One per worker on the batch path:
+/// Reusable tokenization buffers. One per request on the serving path:
 /// [`scan_tokens`] clears and refills these instead of allocating a
 /// fresh `Vec<char>` and token `String` for every query.
 #[derive(Debug, Default)]

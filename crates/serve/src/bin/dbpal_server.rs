@@ -7,10 +7,13 @@
 //! finishes in-flight requests — and flushes the full metrics JSON.
 //!
 //! ```text
-//! dbpal-server [--addr HOST:PORT] [--workers N] [--queue-depth N]
-//!              [--max-conns N] [--cache N]
-//!              [--tenants SPEC] [--metrics-out PATH] [--quiet]
+//! dbpal-server [--addr HOST:PORT] [--queue-depth N] [--max-conns N]
+//!              [--cache N] [--tenants SPEC] [--metrics-out PATH] [--quiet]
 //! ```
+//!
+//! Each connection serves its requests start to finish on its own
+//! thread, so `--max-conns` bounds both the requests in flight and the
+//! threads serving them.
 //!
 //! `--tenants` selects the hosted deployments. `--tenants demo` serves
 //! the three-tenant fixture registry (`alpha` hospital / `beta` clinic /
@@ -34,7 +37,6 @@ use dbpal_serve::{QueryService, ServeConfig, TenantRegistry};
 
 struct Args {
     addr: String,
-    workers: usize,
     queue_depth: usize,
     cache_capacity: usize,
     max_connections: usize,
@@ -45,10 +47,11 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: dbpal-server [--addr HOST:PORT] [--workers N] [--queue-depth N]\n\
-         \x20                   [--max-conns N] [--cache N]\n\
-         \x20                   [--tenants demo|name[:quota],...]\n\
-         \x20                   [--metrics-out PATH] [--quiet]"
+        "usage: dbpal-server [--addr HOST:PORT] [--queue-depth N] [--max-conns N]\n\
+         \x20                   [--cache N] [--tenants demo|name[:quota],...]\n\
+         \x20                   [--metrics-out PATH] [--quiet]\n\
+         each connection serves its requests on its own thread; --max-conns\n\
+         bounds the requests served at once"
     );
     exit(2);
 }
@@ -58,7 +61,6 @@ fn parse_args() -> Args {
     let server_defaults = ServerConfig::default();
     let mut args = Args {
         addr: "127.0.0.1:7432".to_string(),
-        workers: defaults.workers,
         queue_depth: defaults.queue_depth,
         cache_capacity: defaults.cache_capacity,
         max_connections: server_defaults.max_connections,
@@ -76,7 +78,6 @@ fn parse_args() -> Args {
         };
         match flag.as_str() {
             "--addr" => args.addr = value("--addr"),
-            "--workers" => args.workers = parse_num(&value("--workers"), "--workers"),
             "--queue-depth" => {
                 args.queue_depth = parse_num(&value("--queue-depth"), "--queue-depth")
             }
@@ -138,7 +139,6 @@ fn registry_from_spec(spec: &str) -> TenantRegistry<ScriptedModel> {
 fn main() {
     let args = parse_args();
     let config = ServeConfig {
-        workers: args.workers,
         queue_depth: args.queue_depth,
         cache_capacity: args.cache_capacity,
     };

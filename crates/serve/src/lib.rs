@@ -22,8 +22,6 @@
 //!   keyed on the anonymized + lemmatized token string, so questions
 //!   differing only in constants share one model invocation (§4.1) and
 //!   cross-tenant hits are impossible by construction;
-//! * **worker fan-out** — the preprocess, translate, and
-//!   post-process/execute stages run on the process-wide `WorkerPool`;
 //! * **per-stage observability** — anonymize / lemmatize / translate /
 //!   postprocess / execute latency histograms plus cache and shed
 //!   counters in a [`dbpal_util::MetricsRegistry`];
@@ -33,11 +31,12 @@
 //!   thread, redacting structured request logs, and graceful drain with
 //!   a final metrics flush.
 //!
-//! Cache consultation happens in sequential phases between the parallel
-//! ones (see [`service`] for the phase diagram), which keeps every
-//! counter — and the registry's deterministic JSON export — byte-
-//! identical at any worker count. The `serve` and `tenants` integration
-//! tests enforce exactly that.
+//! A batch runs its five phases — preprocess, cache lookup, translate,
+//! cache insert, post-process/execute — in order on its caller's thread
+//! (see [`service`] for the phase diagram), consulting the cache in
+//! batch order. Every counter, and so the registry's deterministic JSON
+//! export, is a function of the request sequence; the `serve` and
+//! `tenants` integration tests pin that export by digest.
 
 mod error;
 pub mod net;

@@ -9,16 +9,17 @@
 //! ```text
 //!   accept loop ──▶ connection threads ──▶ QueryService::submit_batch_for
 //!   (bounded:       (frame read/write,     (one wire request = one batch:
-//!    refuses over    idle ticks, typed      admission, cache, phased
-//!    the limit)      error responses)       pipeline on the WorkerPool)
+//!    refuses over    idle ticks, typed      admission, cache, five
+//!    the limit)      error responses)       phases on this same thread)
 //! ```
 //!
 //! A wire request is exactly one service batch: admission
 //! (`queue_depth`, tenant quotas) applies to it whole, and its results
 //! come back in question order. A connection serves one request at a
-//! time, so [`ServerConfig::max_connections`] bounds the requests in
-//! flight. Concurrent connections share the process-wide `WorkerPool`;
-//! one that finds the pool busy runs its phases inline.
+//! time, start to finish on its own thread, so
+//! [`ServerConfig::max_connections`] bounds both the requests in flight
+//! and the threads serving them: the server's parallelism is its
+//! connections.
 //!
 //! # Graceful drain
 //!

@@ -1,46 +1,46 @@
-//! The concurrent query service: a bounded admission queue fanned out
-//! over worker sessions, with a tenant-sharded LRU translation cache
-//! and per-stage instrumentation.
+//! The query service: per-request admission, a tenant-sharded LRU
+//! translation cache, and per-stage instrumentation.
 //!
 //! # Determinism under concurrency
 //!
 //! A naive shared cache makes hit/miss counts a race: two identical
-//! queries running on different workers both miss, while a
-//! single-threaded run would score one miss and one hit. This service
-//! instead executes each batch in alternating parallel/sequential
-//! phases:
+//! queries translated at once both miss, while a single-threaded run
+//! would score one miss and one hit. This service instead serves each
+//! request start to finish on its caller's thread, in five phases run
+//! in order:
 //!
 //! ```text
 //!   admit ──▶ preprocess ──▶ cache lookup ──▶ translate ──▶ insert ──▶ finish
-//!   (seq)     (parallel)     (sequential)     (parallel,    (seq)     (parallel)
-//!                                              misses only)
+//!                            (cache lock,     (misses       (cache
+//!                             batch order)     only)         lock)
 //! ```
 //!
 //! Pre-processing (anonymize + lemmatize), translation, and
-//! post-process/execute fan out over the process-wide persistent
-//! [`WorkerPool`]; the
-//! cache is only consulted and updated in the sequential phases, in
+//! post-process/execute are plain loops over the request's questions.
+//! The cache is only consulted and updated in the two locked phases, in
 //! batch order, with duplicate in-batch misses coalesced into one
 //! translation. Every counter — hits, misses, coalesced, sheds, errors
-//! — is therefore a pure function of the query sequence, independent of
-//! the worker count; only the recorded latencies vary. The
-//! [`MetricsRegistry`] deterministic export is byte-identical at 1 and 8
-//! workers, and the `serve` integration tests keep that honest.
+//! — is therefore a pure function of the sequence of requests; only the
+//! recorded latencies vary. Requests in flight on different connections
+//! order themselves by the cache lock, and requests sent one after
+//! another see exactly what a single-threaded server computes. The
+//! `serve` integration tests pin the [`MetricsRegistry`] deterministic
+//! export of two seeded request sequences by digest.
 //!
 //! # Multi-tenancy
 //!
 //! A batch is one request from one tenant, and the tenant dimension
 //! changes none of the above. Admission is a prefix rule — the first
 //! `min(quota, queue_depth)` questions run and the tail sheds typed —
-//! so sheds land on the same questions at any worker count. Cache
-//! lookups key on `(tenant, anonymized-lemma-string)` inside the same
-//! sequential phases, so per-tenant hit/miss counters are as
-//! worker-count-invariant as the global ones, and the sharded cache's
-//! global logical clock evicts by the same strictly-min-tick rule. The
+//! so sheds depend on the request alone. Cache lookups key on
+//! `(tenant, anonymized-lemma-string)` inside the same locked phases,
+//! so per-tenant hit/miss counters are as much a function of the
+//! request sequence as the global ones, and the sharded cache's global
+//! logical clock evicts by the same strictly-min-tick rule. The
 //! three-tenant test in `tests/tenants.rs` interleaves requests from
-//! all three tenants and compares the full deterministic export
-//! (including every `serve.tenant.<id>.…` counter) at 1 vs 8 workers,
-//! byte for byte.
+//! all three tenants, pins the full deterministic export (including
+//! every `serve.tenant.<id>.…` counter) by digest, and checks that the
+//! per-tenant counters add up to the global ones.
 //!
 //! Each tenant's [`Nlidb`] sits behind an `RwLock`. A batch holds its
 //! tenant's read guard across all five phases, and
@@ -51,7 +51,6 @@
 //! own tenant's lock, so a swap never waits on another tenant's
 //! batches.
 
-use std::cell::RefCell;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
@@ -62,14 +61,6 @@ use dbpal_runtime::{Anonymized, Nlidb, NlidbResponse, PostProcessor, RuntimeErro
 use dbpal_sql::Query;
 use dbpal_util::intern::{Sym, Vocab};
 use dbpal_util::metrics::{Counter, Histogram, MetricsRegistry};
-use dbpal_util::{auto_threads, WorkerPool};
-
-thread_local! {
-    /// Per-worker tokenization buffers for the pre-processing phase:
-    /// each pool worker reuses one scratch across every query it pulls,
-    /// so the hot path allocates no per-query `Vec<char>`/token buffer.
-    static SCRATCH: RefCell<TokenScratch> = RefCell::new(TokenScratch::default());
-}
 
 use crate::error::ServeError;
 use crate::shard::ShardedCache;
@@ -82,10 +73,6 @@ pub const DEFAULT_TENANT: &str = "default";
 /// Serving-layer tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads for the parallel phases; `0` means "use all
-    /// available parallelism". Changes wall-clock time only, never
-    /// counters or results.
-    pub workers: usize,
     /// Admission-control limit: queries beyond this many in one batch
     /// are shed with [`ServeError::Overloaded`]. Over the network a
     /// `query` request is one batch, so a request longer than this
@@ -99,7 +86,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            workers: 0,
             queue_depth: 64,
             cache_capacity: 256,
         }
@@ -183,8 +169,9 @@ struct Tenant<M: TranslationModel> {
 
 /// How one admitted query obtains its translation.
 enum Plan {
-    /// Served from the cache: the `i`-th hit of this batch.
-    Hit(usize),
+    /// Served from the cache: takes the batch's next hit, since hits
+    /// are collected in batch order.
+    Hit,
     /// Waits on the `i`-th unique translation of this batch.
     Translate(usize),
 }
@@ -423,9 +410,9 @@ impl<M: TranslationModel + Send + Sync> QueryService<M> {
     }
 
     /// The five phases over one tenant's admitted questions, as
-    /// documented at module level. Every sequential decision happens in
-    /// input order, so the outcome and every counter are independent of
-    /// the worker count.
+    /// documented at module level, run in order on the calling thread.
+    /// Every cache decision happens in input order, so the outcome and
+    /// every counter depend only on the request sequence.
     fn serve_admitted(
         &self,
         t: &Tenant<M>,
@@ -433,83 +420,71 @@ impl<M: TranslationModel + Send + Sync> QueryService<M> {
         questions: &[String],
     ) -> Vec<Result<ServeResponse, ServeError>> {
         let m = &self.metrics;
-        let workers = match self.config.workers {
-            0 => auto_threads(),
-            w => w,
-        };
 
-        // Phase 1 (parallel): anonymize + lemmatize against the
-        // tenant's value index, forming each question's cache key.
-        // Lemmas travel as interned `Sym` ids (the cache key `String` is
-        // built in the same pass), and each worker reuses its
-        // thread-local scratch.
+        // Phase 1: anonymize + lemmatize against the tenant's value
+        // index, forming each question's cache key. Lemmas travel as
+        // interned `Sym` ids (the cache key `String` is built in the
+        // same pass), through one tokenization scratch per request.
         let vocab = Vocab::global();
-        let pool = WorkerPool::global();
-        let pre: Vec<(Anonymized, Vec<Sym>, String)> =
-            pool.map_indexed(questions, workers, |_, q| {
-                let anonymized = m.anonymize.time(|| nlidb.anonymize(q));
-                let mut syms = Vec::new();
-                let mut key = String::new();
-                m.lemmatize.time(|| {
-                    SCRATCH.with(|s| {
-                        nlidb.lemmatize_interned(
-                            &anonymized.text,
-                            vocab,
-                            &mut s.borrow_mut(),
-                            &mut syms,
-                            &mut key,
-                        )
-                    })
-                });
-                (anonymized, syms, key)
+        let mut scratch = TokenScratch::default();
+        let mut pre: Vec<(Anonymized, Vec<Sym>, String)> = Vec::with_capacity(questions.len());
+        for q in questions {
+            let anonymized = m.anonymize.time(|| nlidb.anonymize(q));
+            let (mut syms, mut key) = (Vec::new(), String::new());
+            m.lemmatize.time(|| {
+                nlidb.lemmatize_interned(&anonymized.text, vocab, &mut scratch, &mut syms, &mut key)
             });
+            pre.push((anonymized, syms, key));
+        }
 
-        // Phase 2 (sequential): consult the tenant's cache shard in
-        // batch order. Repeated in-batch misses coalesce per key onto
-        // one pending translation, which is what a sequential server
-        // would compute too. Pending entries borrow their key and lemma
-        // ids from phase 1; hits hold a copy of the cached query.
+        // Phase 2: consult the tenant's cache shard in batch order.
+        // Repeated in-batch misses coalesce per key onto one pending
+        // translation, which is what a sequential server would compute
+        // too. Pending entries borrow their key and lemma ids from
+        // phase 1; hits hold a copy of the cached query.
         let mut hits: Vec<Query> = Vec::new();
         let mut pending: Vec<(&str, &[Sym])> = Vec::new();
         let mut pending_index: BTreeMap<&str, usize> = BTreeMap::new();
-        let plans: Vec<Plan> = {
+        let mut plans: Vec<Plan> = Vec::with_capacity(pre.len());
+        {
             let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-            pre.iter()
-                .map(|(_, syms, key)| {
-                    if let Some(q) = cache.get(&t.id, key) {
-                        m.cache_hit.inc();
-                        t.m.cache_hit.inc();
-                        hits.push(q.clone());
-                        return Plan::Hit(hits.len() - 1);
+            for (_, syms, key) in &pre {
+                if let Some(q) = cache.get(&t.id, key) {
+                    m.cache_hit.inc();
+                    t.m.cache_hit.inc();
+                    hits.push(q.clone());
+                    plans.push(Plan::Hit);
+                    continue;
+                }
+                m.cache_miss.inc();
+                t.m.cache_miss.inc();
+                plans.push(match pending_index.entry(key) {
+                    Entry::Occupied(e) => {
+                        m.cache_coalesced.inc();
+                        Plan::Translate(*e.get())
                     }
-                    m.cache_miss.inc();
-                    t.m.cache_miss.inc();
-                    match pending_index.entry(key) {
-                        Entry::Occupied(e) => {
-                            m.cache_coalesced.inc();
-                            Plan::Translate(*e.get())
-                        }
-                        Entry::Vacant(e) => {
-                            pending.push((key, syms));
-                            Plan::Translate(*e.insert(pending.len() - 1))
-                        }
+                    Entry::Vacant(e) => {
+                        pending.push((key, syms));
+                        Plan::Translate(*e.insert(pending.len() - 1))
                     }
-                })
-                .collect()
-        };
+                });
+            }
+        }
 
-        // Phase 3 (parallel): translate each unique missed key once,
-        // over the interned lemma ids — no string reconstruction for
-        // models that override `translate_syms`.
-        let translated: Vec<Option<Query>> =
-            pool.map_indexed(&pending, workers, |_, &(_, syms)| {
+        // Phase 3: translate each unique missed key once, over the
+        // interned lemma ids — no string reconstruction for models that
+        // override `translate_syms`.
+        let translated: Vec<Option<Query>> = pending
+            .iter()
+            .map(|&(_, syms)| {
                 m.translate
                     .time(|| nlidb.model().translate_syms(syms, vocab))
-            });
+            })
+            .collect();
 
-        // Phase 4 (sequential): install successful translations in
-        // first-miss order. Failures are not cached: the model may be
-        // retrained or the index refreshed between batches.
+        // Phase 4: install successful translations in first-miss order.
+        // Failures are not cached: the model may be retrained or the
+        // index refreshed between batches.
         {
             let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
             for (&(key, _), result) in pending.iter().zip(&translated) {
@@ -519,19 +494,24 @@ impl<M: TranslationModel + Send + Sync> QueryService<M> {
             }
         }
 
-        // Phase 5 (parallel): post-process and execute every question
-        // against the tenant's database.
-        pool.map_indexed(&plans, workers, |i, plan| {
-            let (translation, hit) = match plan {
-                Plan::Hit(j) => (Some(&hits[*j]), true),
-                Plan::Translate(j) => (translated[*j].as_ref(), false),
-            };
-            let outcome = self.finish(nlidb, &pre[i].0, translation, hit);
-            if outcome.is_err() {
-                m.errors.inc();
-            }
-            outcome
-        })
+        // Phase 5: post-process and execute every question against the
+        // tenant's database. Each question hands its anonymized text,
+        // and each hit its query, to its response.
+        let mut hits = hits.into_iter();
+        pre.into_iter()
+            .zip(plans)
+            .map(|((anonymized, _, _), plan)| {
+                let (translation, hit) = match plan {
+                    Plan::Hit => (hits.next(), true),
+                    Plan::Translate(j) => (translated[j].clone(), false),
+                };
+                let outcome = self.finish(nlidb, anonymized, translation, hit);
+                if outcome.is_err() {
+                    m.errors.inc();
+                }
+                outcome
+            })
+            .collect()
     }
 
     /// Post-process and execute one translated query against its
@@ -539,12 +519,12 @@ impl<M: TranslationModel + Send + Sync> QueryService<M> {
     fn finish(
         &self,
         nlidb: &Nlidb<M>,
-        anonymized: &Anonymized,
-        translation: Option<&Query>,
+        anonymized: Anonymized,
+        translation: Option<Query>,
         cache_hit: bool,
     ) -> Result<ServeResponse, ServeError> {
         let m = &self.metrics;
-        let translated = translation.ok_or(RuntimeError::TranslationFailed)?.clone();
+        let translated = translation.ok_or(RuntimeError::TranslationFailed)?;
         let post = PostProcessor::new(nlidb.database().schema());
         let final_sql = m
             .postprocess
@@ -556,7 +536,7 @@ impl<M: TranslationModel + Send + Sync> QueryService<M> {
         Ok(ServeResponse {
             cache_hit,
             response: NlidbResponse {
-                anonymized_nl: anonymized.text.clone(),
+                anonymized_nl: anonymized.text,
                 translated_sql: translated,
                 final_sql,
                 result,

@@ -14,7 +14,7 @@
 //! Recency and eviction generalize a single LRU cache to all shards:
 //!
 //! * one **global logical tick** orders every access across all shards
-//!   (no wall clock — determinism survives any worker count);
+//!   (no wall clock — eviction is a function of the access sequence);
 //! * one **global capacity** bounds the sum of all shard sizes;
 //! * eviction removes the entry with the strictly smallest tick across
 //!   *all* shards — so an idle tenant's cold entries yield their budget

@@ -328,8 +328,8 @@ pub fn hospital_question(rng: &mut Rng) -> String {
 /// [`tenant_registry`]'s three tenants, every question drawn from its
 /// tenant's script families with constants that exist in that tenant's
 /// data. Deterministic per seed — the three-tenant determinism test
-/// groups it into per-tenant requests and replays it at different
-/// worker counts.
+/// groups it into per-tenant requests and pins the metrics export they
+/// produce.
 pub fn tenant_workload(seed: u64, len: usize) -> Vec<(String, String)> {
     let mut rng = Rng::seed_from_u64(seed);
     (0..len)

@@ -43,16 +43,11 @@ fn in_flight_batch() -> Vec<(String, Vec<Vec<Json>>)> {
 
 #[test]
 fn shutdown_mid_flight_finishes_the_batch_and_refuses_newcomers() {
-    // 100ms per translation × 4 unique families × 1 worker ≈ 400ms of
-    // genuinely in-flight work — a wide window to drain into.
+    // 100ms per translation × 4 unique families, translated one after
+    // another ≈ 400ms of genuinely in-flight work — a wide window to
+    // drain into.
     let model = hospital_script().with_delay(Duration::from_millis(100));
-    let service = QueryService::new(
-        Nlidb::new(hospital_db(), model),
-        ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        },
-    );
+    let service = QueryService::new(Nlidb::new(hospital_db(), model), ServeConfig::default());
     let handle = serve(service, ServerConfig::default()).expect("bind");
     let addr = handle.addr();
 

@@ -29,10 +29,7 @@ fn start_server(serve_config: ServeConfig) -> dbpal_serve::net::ServerHandle<Scr
 }
 
 fn default_server() -> dbpal_serve::net::ServerHandle<ScriptedModel> {
-    start_server(ServeConfig {
-        workers: 1,
-        ..ServeConfig::default()
-    })
+    start_server(ServeConfig::default())
 }
 
 /// A question the hospital script answers, and its expected row.
@@ -202,7 +199,6 @@ fn admission_control_sheds_surface_as_overloaded_status() {
     let inputs = [
         (
             ServeConfig {
-                workers: 1,
                 queue_depth: 3,
                 ..ServeConfig::default()
             },
@@ -294,13 +290,7 @@ fn tenant_tagged_queries_route_over_the_wire() {
     // cache key but must answer from their own data; untagged requests
     // route to the first registered tenant.
     let handle = serve(
-        QueryService::with_tenants(
-            tenant_registry(),
-            ServeConfig {
-                workers: 1,
-                ..ServeConfig::default()
-            },
-        ),
+        QueryService::with_tenants(tenant_registry(), ServeConfig::default()),
         ServerConfig::default(),
     )
     .expect("bind");
@@ -331,13 +321,7 @@ fn tenant_tagged_queries_route_over_the_wire() {
 #[test]
 fn unknown_tenant_is_a_typed_error_and_the_connection_survives() {
     let handle = serve(
-        QueryService::with_tenants(
-            tenant_registry(),
-            ServeConfig {
-                workers: 1,
-                ..ServeConfig::default()
-            },
-        ),
+        QueryService::with_tenants(tenant_registry(), ServeConfig::default()),
         ServerConfig::default(),
     )
     .expect("bind");
@@ -368,13 +352,7 @@ fn tenant_quota_sheds_surface_as_tenant_overloaded_status() {
         .register_with_quota("alpha", Nlidb::new(hospital_db(), hospital_script()), 2)
         .register("beta", Nlidb::new(hospital_db(), hospital_script()));
     let handle = serve(
-        QueryService::with_tenants(
-            registry,
-            ServeConfig {
-                workers: 1,
-                ..ServeConfig::default()
-            },
-        ),
+        QueryService::with_tenants(registry, ServeConfig::default()),
         ServerConfig::default(),
     )
     .expect("bind");

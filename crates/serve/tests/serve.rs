@@ -2,16 +2,21 @@
 //! control, metrics determinism, and a cached-vs-uncached equivalence
 //! property.
 
-use dbpal_runtime::{Nlidb, RuntimeError};
-use dbpal_serve::testing::{hospital_db, hospital_question, hospital_script};
-use dbpal_serve::{QueryService, ServeConfig, ServeError};
-use dbpal_util::{check, fnv1a, forall, Rng};
+use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 
-fn service(config: ServeConfig) -> QueryService<dbpal_serve::testing::ScriptedModel> {
+use dbpal_core::{TrainOptions, TrainingCorpus, TranslationModel};
+use dbpal_runtime::{Nlidb, RuntimeError};
+use dbpal_serve::testing::{hospital_db, hospital_question, hospital_script, ScriptedModel};
+use dbpal_serve::{QueryService, ServeConfig, ServeError};
+use dbpal_sql::Query;
+use dbpal_util::{check, fnv1a, forall, Rng, SliceRandom, Sym, Vocab};
+
+fn service(config: ServeConfig) -> QueryService<ScriptedModel> {
     QueryService::new(Nlidb::new(hospital_db(), hospital_script()), config)
 }
 
-fn counter(svc: &QueryService<dbpal_serve::testing::ScriptedModel>, name: &str) -> u64 {
+fn counter<M: TranslationModel + Send + Sync>(svc: &QueryService<M>, name: &str) -> u64 {
     svc.metrics().counter(name).get()
 }
 
@@ -199,64 +204,117 @@ fn mixed_workload() -> Vec<String> {
 }
 
 #[test]
-fn deterministic_metrics_identical_at_1_and_8_workers() {
+fn seeded_request_sequences_pin_the_deterministic_export() {
     // (questions, batch size, hit-rate floor, export digest). The seeded
     // run has four cache keys across 200 questions, so misses can only
     // happen before a family's first translation lands. The digest pins
-    // the pretty deterministic export across commits, not just across
-    // worker counts; re-pin it only with a stated reason.
+    // the pretty deterministic export across commits; re-pin it only
+    // with a stated reason.
     for (questions, batch, min_hit_rate, digest) in [
         (mixed_workload(), 5, 0.0, 0x7af2385bb832a643),
         (seeded_workload(200), 20, 0.8, 0x46b66cc313aba840),
     ] {
-        let run = |workers: usize| {
-            let svc = service(ServeConfig {
-                workers,
-                ..ServeConfig::default()
-            });
-            for chunk in questions.chunks(batch) {
-                let results = svc.submit_batch(chunk);
-                assert!(results.iter().all(|r| r.is_ok()));
-            }
-            svc
-        };
-        let (one, eight) = (run(1), run(8));
-        let export = one.metrics().to_json_deterministic().pretty();
-        assert_eq!(
-            export,
-            eight.metrics().to_json_deterministic().pretty(),
-            "deterministic export diverged across workers"
-        );
+        let svc = service(ServeConfig::default());
+        for chunk in questions.chunks(batch) {
+            let results = svc.submit_batch(chunk);
+            assert!(results.iter().all(|r| r.is_ok()));
+        }
+        let export = svc.metrics().to_json_deterministic().pretty();
         assert_eq!(
             fnv1a(export.as_bytes()),
             digest,
             "deterministic export changed:\n{export}"
         );
-        let hits = counter(&one, "serve.cache.hit");
+        let hits = counter(&svc, "serve.cache.hit");
         let total = questions.len() as u64;
-        assert_eq!(hits + counter(&one, "serve.cache.miss"), total);
+        assert_eq!(hits + counter(&svc, "serve.cache.miss"), total);
         assert!(
             hits as f64 >= min_hit_rate * total as f64,
             "{hits} hits of {total} is below the {min_hit_rate} hit-rate floor"
         );
-        assert_eq!(counter(&one, "serve.shed"), 0);
+        assert_eq!(counter(&svc, "serve.shed"), 0);
+    }
+}
+
+/// The hospital script, recording the thread of every translation.
+struct ThreadRecordingModel {
+    script: ScriptedModel,
+    threads: Arc<Mutex<Vec<ThreadId>>>,
+}
+
+impl TranslationModel for ThreadRecordingModel {
+    fn name(&self) -> &'static str {
+        "thread-recording"
+    }
+
+    fn train(&mut self, corpus: &TrainingCorpus, opts: &TrainOptions) {
+        self.script.train(corpus, opts);
+    }
+
+    fn translate(&self, nl_lemmas: &[String]) -> Option<Query> {
+        self.script.translate(nl_lemmas)
+    }
+
+    fn translate_syms(&self, lemmas: &[Sym], vocab: &Vocab) -> Option<Query> {
+        self.threads.lock().unwrap().push(thread::current().id());
+        self.script.translate_syms(lemmas, vocab)
     }
 }
 
 #[test]
+fn a_request_is_served_on_its_callers_thread() {
+    // Sixteen questions, each with its own word, form sixteen distinct
+    // cache keys: every one misses and is translated separately, and
+    // every translation runs on the thread that submitted the request.
+    let threads = Arc::new(Mutex::new(Vec::new()));
+    let model = ThreadRecordingModel {
+        script: hospital_script(),
+        threads: Arc::clone(&threads),
+    };
+    let svc = QueryService::new(Nlidb::new(hospital_db(), model), ServeConfig::default());
+    let questions: Vec<String> = [
+        "amber", "basil", "cedar", "delta", "ember", "fjord", "garnet", "harbor", "indigo",
+        "juniper", "kelp", "lotus", "maple", "nectar", "onyx", "pepper",
+    ]
+    .iter()
+    .map(|word| format!("show the names of all patients in the {word} ward"))
+    .collect();
+    svc.submit_batch(&questions);
+
+    assert_eq!(counter(&svc, "serve.cache.miss"), 16);
+    assert_eq!(counter(&svc, "serve.cache.coalesced"), 0);
+    let threads = threads.lock().unwrap();
+    assert_eq!(threads.len(), 16, "one translation per distinct miss");
+    assert!(
+        threads.iter().all(|&id| id == thread::current().id()),
+        "a translation ran off the caller's thread"
+    );
+}
+
+#[test]
 fn cached_and_uncached_translations_agree() {
-    // Property: for any mixed question sequence, the served answer
-    // (caching, batching, fan-out and all) is identical to a plain
-    // uncached `Nlidb::answer` — same final SQL, same result rows.
+    // Property: for any mixed question sequence, split at random into
+    // one to four requests, every served answer (caching, coalescing,
+    // and entries cached by earlier requests included) is identical to
+    // a plain uncached `Nlidb::answer` — same final SQL, same result
+    // rows.
     let nlidb = Nlidb::new(hospital_db(), hospital_script());
     forall!(cases = 32, |rng| {
         let svc = service(ServeConfig {
-            workers: rng.gen_range(1usize..4),
             cache_capacity: rng.gen_range(1usize..5),
             ..ServeConfig::default()
         });
         let questions = check::vec_of(rng, 1..12, hospital_question);
-        let served = svc.submit_batch(&questions);
+        let mut cuts: Vec<usize> = (1..questions.len()).collect();
+        cuts.shuffle(rng);
+        cuts.truncate(rng.gen_range(0usize..4));
+        cuts.sort_unstable();
+        let mut served = Vec::with_capacity(questions.len());
+        let mut start = 0;
+        for end in cuts.into_iter().chain([questions.len()]) {
+            served.extend(svc.submit_batch(&questions[start..end]));
+            start = end;
+        }
         for (question, served) in questions.iter().zip(served) {
             let served = served.expect("scripted workload answers cleanly");
             let direct = nlidb.answer(question).expect("direct answer succeeds");

@@ -2,9 +2,10 @@
 //!
 //! [`par_map_indexed`](crate::par_map_indexed) spawns and joins a fresh
 //! set of scoped threads on every call. That is correct and simple, but
-//! on the batch and serving hot paths the spawn/join cost is paid per
-//! *stage per batch* — hundreds of times per second — and dominates the
-//! work itself for small batches. [`WorkerPool`] moves that cost to
+//! on the corpus pipeline's hot paths the spawn/join cost is paid per
+//! *stage per round*, and for small rounds it dominates the work
+//! itself. (The serving path fans out over nothing: each request runs
+//! on its connection's thread.) [`WorkerPool`] moves that cost to
 //! process start: helper threads are spawned once and parked on a
 //! condvar; each [`WorkerPool::map_indexed`] call installs one job,
 //! lets the caller participate alongside the helpers, and returns when

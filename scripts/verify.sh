@@ -36,11 +36,12 @@ gate_time "selflint + fmt"
 cargo build --release --offline --workspace
 gate_time "build"
 # The test suite also holds the serving, analyzer and fuzz checks:
-# seeded single- and three-tenant workloads exporting byte-identical
-# metrics at 1 vs 8 workers with hit-rate, shed and per-tenant counter
-# asserts and a pinned export digest (crates/serve/tests/{serve,
-# tenants}.rs), exact typed sheds under saturation and tenant quotas,
-# shard-scoped hot-swaps, clean Reject-policy generation
+# seeded single- and three-tenant request sequences whose deterministic
+# metrics exports are pinned by digest, with hit-rate, shed and
+# per-tenant counter asserts (crates/serve/tests/{serve,tenants}.rs),
+# a request served entirely on its caller's thread, exact typed sheds
+# under saturation and tenant quotas, shard-scoped hot-swaps, clean
+# Reject-policy generation
 # (crates/core/tests/proptest_analyze.rs), and a seeded 200-iteration
 # fuzz run over the three differential oracles that must come back
 # clean and byte-identical at 1 and 8 threads
@@ -92,10 +93,11 @@ cargo run --release --offline -p dbpal-bench --bin bench_json_lint -- \
 # Perf regression gate: the fresh medians must sit within their group's
 # tolerance band (default x3; wider x4 for the whole-run corpus group;
 # DBPAL_BENCH_TOLERANCE / DBPAL_BENCH_TOLERANCE_<GROUP> override, both
-# directions) of the committed baselines, and the thread-scaling pairs
-# must satisfy threads4 <= threads1 x DBPAL_BENCH_PARITY (default
-# x1.05) — the persistent worker pool keeps fan-out from costing
-# wall-clock.
+# directions) of the committed baselines, and the pipeline's
+# thread-scaling pair must satisfy threads4 <= threads1 x
+# DBPAL_BENCH_PARITY (default x1.05) — the persistent worker pool keeps
+# fan-out from costing wall-clock. The serve rows have no pair: a
+# request runs on its caller's thread.
 cargo run --release --offline -p dbpal-bench --bin bench_json_lint -- --compare \
   "$BASELINE_DIR/BENCH_pipeline.json" BENCH_pipeline.json \
   "$BASELINE_DIR/BENCH_serve.json" BENCH_serve.json \
