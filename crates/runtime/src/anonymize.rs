@@ -155,32 +155,38 @@ impl<'a> ParameterHandler<'a> {
         // Pass 3: numbers, with BETWEEN handling.
         let mut i = 0;
         while i < words.len() {
-            if consumed[i] || parse_number(&words[i]).is_none() {
+            let number = if consumed[i] {
+                None
+            } else {
+                parse_number(&words[i])
+            };
+            let Some(value) = number else {
                 i += 1;
                 continue;
-            }
+            };
             // "between N1 and N2"?
-            let is_between = i >= 1
+            let high = if i >= 1
                 && words[i - 1].eq_ignore_ascii_case("between")
                 && i + 2 < words.len()
                 && words[i + 1].eq_ignore_ascii_case("and")
-                && parse_number(&words[i + 2]).is_some();
+            {
+                parse_number(&words[i + 2])
+            } else {
+                None
+            };
             let column = self.infer_numeric_column(&words, i);
             if let Some(cid) = column {
-                if is_between {
-                    let lo = parse_number(&words[i]).expect("checked");
-                    let hi = parse_number(&words[i + 2]).expect("checked");
+                if let Some(hi) = high {
                     consumed[i] = true;
                     consumed[i + 2] = true;
                     replacement[i] = Some(bindings.len());
-                    bindings.push(self.range_binding(cid, "_LOW", lo));
+                    bindings.push(self.range_binding(cid, "_LOW", value));
                     replacement[i + 2] = Some(bindings.len());
                     bindings.push(self.range_binding(cid, "_HIGH", hi));
                     i += 3;
                     continue;
                 }
                 let ph = self.fresh_placeholder(cid, &bindings);
-                let value = parse_number(&words[i]).expect("checked");
                 consumed[i] = true;
                 replacement[i] = Some(bindings.len());
                 bindings.push(Binding {
@@ -348,14 +354,20 @@ fn text_binding(placeholder: String, canonical: &str, column: ColumnId) -> Bindi
     }
 }
 
+/// A numeral's value: an integer, else a finite float such as `1e3`.
+/// Only a word that starts with an ASCII digit is a numeral, so words
+/// that `f64` also parses (`nan`, `inf`, `Infinity`) stay words.
 fn parse_number(word: &str) -> Option<Value> {
+    if !word.starts_with(|c: char| c.is_ascii_digit()) {
+        return None;
+    }
     if let Ok(i) = word.parse::<i64>() {
         return Some(Value::Int(i));
     }
-    if let Ok(f) = word.parse::<f64>() {
-        return Some(Value::Float(f));
-    }
-    None
+    word.parse::<f64>()
+        .ok()
+        .filter(|f| f.is_finite())
+        .map(Value::Float)
 }
 
 #[cfg(test)]
@@ -470,6 +482,47 @@ mod tests {
         assert_eq!(a.bindings.len(), 2);
         assert_eq!(a.bindings[0].value, Value::Int(30));
         assert_eq!(a.bindings[1].value, Value::Int(50));
+    }
+
+    #[test]
+    fn only_digit_led_words_are_numerals() {
+        // `f64::from_str` also reads `nan`, `inf` and `infinity` in any
+        // case. Those words are no constants: they stay in the text and
+        // bind no NaN or infinite value.
+        let (db, idx) = setup();
+        let handler = ParameterHandler::new(db.schema(), &idx);
+        for (question, word) in [
+            ("Show the name of the patient called Infinity", "Infinity"),
+            ("show the names of patients with age NaN", "NaN"),
+            ("patients aged between nan and 5", "nan"),
+        ] {
+            let a = handler.anonymize(question);
+            assert!(a.text.split(' ').any(|w| w == word), "got: {}", a.text);
+            assert!(
+                a.bindings
+                    .iter()
+                    .all(|b| !matches!(b.value, Value::Float(f) if !f.is_finite())),
+                "`{question}` bound {:?}",
+                a.bindings
+            );
+        }
+        // Digit-led numerals bind as they always have.
+        for (question, expected) in [
+            ("patients with age 80", &[("AGE", Value::Int(80))][..]),
+            (
+                "patients with age between 20 and 30",
+                &[("AGE_LOW", Value::Int(20)), ("AGE_HIGH", Value::Int(30))],
+            ),
+            ("patients with age 1e3", &[("AGE", Value::Float(1000.0))]),
+        ] {
+            let a = handler.anonymize(question);
+            let bound: Vec<(&str, Value)> = a
+                .bindings
+                .iter()
+                .map(|b| (b.placeholder.as_str(), b.value.clone()))
+                .collect();
+            assert_eq!(bound, expected, "`{question}` → {}", a.text);
+        }
     }
 
     #[test]
