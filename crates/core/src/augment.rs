@@ -6,9 +6,11 @@ use dbpal_nlp::{tokenize, ComparativeDictionary, ComparativeSense, ParaphraseSto
 use dbpal_schema::{Schema, SemanticDomain};
 use dbpal_sql::{CmpOp, Pred, Scalar};
 use dbpal_util::{Rng, SliceRandom};
+use std::sync::Arc;
 
 /// The augmentation engine. Produces additional pairs from a seed corpus;
-/// it never mutates the input pairs.
+/// it never mutates the input pairs. Augmentation changes only the NL
+/// side, so each addition shares its seed pair's query.
 pub struct Augmenter<'a> {
     config: &'a GenerationConfig,
     schema: &'a Schema,
@@ -104,7 +106,7 @@ impl<'a> Augmenter<'a> {
                 new_tokens.extend_from_slice(&tokens[start + n..]);
                 out.push(TrainingPair::new(
                     new_tokens.join(" "),
-                    pair.sql.clone(),
+                    Arc::clone(&pair.sql),
                     pair.template_id.clone(),
                     Provenance::Paraphrased,
                 ));
@@ -156,7 +158,7 @@ impl<'a> Augmenter<'a> {
             }
             out.push(TrainingPair::new(
                 new_tokens.join(" "),
-                pair.sql.clone(),
+                Arc::clone(&pair.sql),
                 pair.template_id.clone(),
                 Provenance::Dropped,
             ));
@@ -206,7 +208,7 @@ impl<'a> Augmenter<'a> {
                     let swapped = nl.replacen(generic, dp, 1);
                     out.push(TrainingPair::new(
                         swapped.clone(),
-                        pair.sql.clone(),
+                        Arc::clone(&pair.sql),
                         pair.template_id.clone(),
                         Provenance::Comparative,
                     ));
@@ -220,7 +222,7 @@ impl<'a> Augmenter<'a> {
                             elided.remove(pos - 1);
                             out.push(TrainingPair::new(
                                 elided.join(" "),
-                                pair.sql.clone(),
+                                Arc::clone(&pair.sql),
                                 pair.template_id.clone(),
                                 Provenance::Comparative,
                             ));
@@ -519,6 +521,29 @@ mod tests {
         assert!(aug
             .comparative_variants_with(&p, &mut rng(&config))
             .is_empty());
+    }
+
+    #[test]
+    fn augmented_pairs_share_their_seed_query() {
+        let schema = schema();
+        let config = GenerationConfig {
+            rand_drop_p: 1.0,
+            ..GenerationConfig::small()
+        };
+        let seeds = crate::Generator::new(&schema, &config).generate(&crate::catalog());
+        let additions = Augmenter::new(&schema, &config).augment(&seeds);
+        assert!(additions.len() > seeds.len(), "too few additions to check");
+        // Additions come out in seed order, so one forward walk over the
+        // seeds finds each addition's source.
+        let mut sources = seeds.pairs().iter();
+        let mut source = sources.next();
+        for added in &additions {
+            while source.is_some_and(|s| !Arc::ptr_eq(&s.sql, &added.sql)) {
+                source = sources.next();
+            }
+            let seed = source.unwrap_or_else(|| panic!("no seed shares the query of {added}"));
+            assert_eq!(added.template_id, seed.template_id);
+        }
     }
 
     #[test]

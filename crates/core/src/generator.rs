@@ -1111,7 +1111,7 @@ mod tests {
             let text = p.sql_text();
             let reparsed = dbpal_sql::parse_query(&text)
                 .unwrap_or_else(|e| panic!("unparseable generated SQL `{text}`: {e}"));
-            assert_eq!(&reparsed, &p.sql, "round trip mismatch for `{text}`");
+            assert_eq!(&reparsed, &*p.sql, "round trip mismatch for `{text}`");
         }
     }
 

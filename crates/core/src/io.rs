@@ -23,7 +23,7 @@
 
 use crate::{Provenance, TrainingCorpus, TrainingPair};
 use dbpal_nlp::Lemmatizer;
-use dbpal_sql::parse_query;
+use dbpal_sql::{parse_query, Query};
 use dbpal_util::json::escape_into;
 use dbpal_util::Json;
 use std::fmt::{self, Write as _};
@@ -185,15 +185,24 @@ pub fn corpus_from_json(json: &str) -> Result<TrainingCorpus, CorpusIoError> {
 /// sinks digest their output and pin it in tests.
 pub fn pair_to_jsonl(pair: &TrainingPair) -> String {
     let mut out = String::new();
-    write_pair_jsonl(pair, &mut out);
+    write_pair_jsonl(pair, &escaped_sql(&pair.sql), &mut out);
+    out
+}
+
+/// The query's text as its `Display` impl prints it, escaped as
+/// [`Json::compact`] escapes a string; the unescaped text is never
+/// built on its own.
+pub(crate) fn escaped_sql(query: &Query) -> String {
+    let mut out = String::new();
+    let _ = write!(Escaped(&mut out), "{query}");
     out
 }
 
 /// Append [`pair_to_jsonl`]'s line to `out`: the fields of
 /// `PairRecord::to_json`, in its order, each escaped as
-/// [`Json::compact`] escapes it. The SQL is escaped as its `Display`
-/// impl prints it, so its text is never built on its own.
-pub(crate) fn write_pair_jsonl(pair: &TrainingPair, out: &mut String) {
+/// [`Json::compact`] escapes it. `sql` is [`escaped_sql`] of the pair's
+/// query, which callers that see one query for many pairs escape once.
+pub(crate) fn write_pair_jsonl(pair: &TrainingPair, sql: &str, out: &mut String) {
     out.push_str("{\"nl\":\"");
     escape_into(out, &pair.nl);
     out.push_str("\",\"nl_lemmas\":[");
@@ -203,7 +212,7 @@ pub(crate) fn write_pair_jsonl(pair: &TrainingPair, out: &mut String) {
         out.push('"');
     }
     out.push_str("],\"sql\":\"");
-    let _ = write!(Escaped(out), "{}", pair.sql);
+    out.push_str(sql);
     out.push_str("\",\"template_id\":\"");
     escape_into(out, &pair.template_id);
     out.push_str("\",\"provenance\":\"");

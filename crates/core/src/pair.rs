@@ -3,6 +3,7 @@
 use dbpal_sql::Query;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// How a pair entered the corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -56,8 +57,10 @@ pub struct TrainingPair {
     pub nl: String,
     /// Lemmatized NL tokens (filled by the pipeline's lemmatization step).
     pub nl_lemmas: Vec<String>,
-    /// The SQL side with placeholder constants.
-    pub sql: Query,
+    /// The SQL side with placeholder constants. Augmentation changes
+    /// only the NL side, so a seed pair and its augmentations share one
+    /// query.
+    pub sql: Arc<Query>,
     /// Id of the seed template this pair descends from.
     pub template_id: String,
     /// How the pair was produced.
@@ -65,17 +68,18 @@ pub struct TrainingPair {
 }
 
 impl TrainingPair {
-    /// Create a fresh (not yet lemmatized) pair.
+    /// Create a fresh (not yet lemmatized) pair. `sql` is an owned
+    /// [`Query`] or an `Arc` shared with other pairs.
     pub fn new(
         nl: impl Into<String>,
-        sql: Query,
+        sql: impl Into<Arc<Query>>,
         template_id: impl Into<String>,
         provenance: Provenance,
     ) -> Self {
         TrainingPair {
             nl: nl.into(),
             nl_lemmas: Vec::new(),
-            sql,
+            sql: sql.into(),
             template_id: template_id.into(),
             provenance,
         }
@@ -101,6 +105,33 @@ impl TrainingPair {
 impl fmt::Display for TrainingPair {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} ⇒ {}", self.nl, self.sql)
+    }
+}
+
+/// What was derived from the last query seen, so a run of pairs that
+/// share one query (a seed pair and its augmentations) derives it
+/// once. The memo keeps its own `Arc` to that query: the query stays
+/// alive while the memo answers for it, so no other query can take its
+/// address and be mistaken for it.
+pub(crate) struct QueryMemo<T> {
+    last: Option<(Arc<Query>, T)>,
+}
+
+impl<T> QueryMemo<T> {
+    pub(crate) fn new() -> Self {
+        QueryMemo { last: None }
+    }
+
+    /// `derive(query)`, computed only when `query` is not the query
+    /// this memo saw last.
+    pub(crate) fn get(&mut self, query: &Arc<Query>, derive: impl FnOnce(&Query) -> T) -> &T {
+        if !matches!(&self.last, Some((q, _)) if Arc::ptr_eq(q, query)) {
+            self.last = None;
+        }
+        let (_, value) = self
+            .last
+            .get_or_insert_with(|| (Arc::clone(query), derive(query)));
+        value
     }
 }
 

@@ -21,6 +21,7 @@
 //! returns a [`PipelineReport`] with per-stage wall time and pair
 //! accounting.
 
+use crate::pair::QueryMemo;
 use crate::stream::{AdmitOutcome, StreamDedup};
 use crate::templates::{catalog, SeedTemplate};
 use crate::{
@@ -47,7 +48,10 @@ pub struct StageTimings {
     pub analyze: Duration,
     /// Admission through the dedup index.
     pub dedup: Duration,
-    /// The whole pipeline run.
+    /// Handing the admitted pairs to the sink. Not part of `total`,
+    /// which ends when the round's pairs are admitted.
+    pub sink: Duration,
+    /// The whole pipeline run, up to the sink.
     pub total: Duration,
 }
 
@@ -61,8 +65,18 @@ impl StageTimings {
         self.lemmatize += other.lemmatize;
         self.analyze += other.analyze;
         self.dedup += other.dedup;
+        self.sink += other.sink;
         self.total += other.total;
     }
+}
+
+/// Run `f`, returning its result and its wall time: how
+/// [`TrainingPipeline::stream`] times its sink, since the stream module
+/// reads no clock of its own.
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
 }
 
 /// Accounting for the static-analysis stage: how many pairs were
@@ -143,7 +157,13 @@ pub fn analyze_pairs_scored_with(
     let verdicts: Vec<Vec<Vec<Diagnostic>>> = {
         let chunks: Vec<&[TrainingPair]> = pairs.chunks(CHUNK).collect();
         par.map_indexed(&chunks, threads, |_, chunk| {
-            chunk.iter().map(|p| analyzer.analyze(&p.sql)).collect()
+            // A verdict depends only on the query, so a run of pairs
+            // that share one is analyzed once.
+            let mut memo = QueryMemo::new();
+            chunk
+                .iter()
+                .map(|p| memo.get(&p.sql, |q| analyzer.analyze(q)).clone())
+                .collect()
         })
     };
     let mut report = AnalyzerReport {
@@ -325,6 +345,7 @@ impl PipelineReport {
             ("pipeline.stage.lemmatize", t.lemmatize),
             ("pipeline.stage.analyze", t.analyze),
             ("pipeline.stage.dedup", t.dedup),
+            ("pipeline.stage.sink", t.sink),
             ("pipeline.stage.total", t.total),
         ] {
             reg.histogram(stage).record(d);
@@ -377,6 +398,7 @@ impl PipelineReport {
             ms(self.timings.dedup),
             self.dedup_dropped
         );
+        out += &format!("  sink      {}  (not in total)\n", ms(self.timings.sink));
         let provenance = self
             .provenance
             .iter()
@@ -562,6 +584,7 @@ impl TrainingPipeline {
                 lemmatize: lemmatize_time,
                 analyze: analyze_time,
                 dedup: dedup_time,
+                sink: Duration::ZERO,
                 total: run_start.elapsed(),
             },
         };

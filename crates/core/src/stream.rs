@@ -53,13 +53,15 @@
 //! dedup-index footprint) for platforms without procfs. The corpus gate
 //! asserts the probe against its configured ceiling.
 
-use crate::io::write_pair_jsonl;
-use crate::pipeline::PipelineReport;
+use crate::io::{escaped_sql, write_pair_jsonl};
+use crate::pair::QueryMemo;
+use crate::pipeline::{timed, PipelineReport};
 use crate::templates::{catalog, SeedTemplate};
 use crate::{
     GenerationConfig, Provenance, StageTimings, TrainingCorpus, TrainingPair, TrainingPipeline,
 };
 use dbpal_schema::Schema;
+use dbpal_sql::Query;
 use dbpal_util::{resident_bytes, stream_seed, Fnv1a};
 use std::collections::HashMap;
 use std::io::Write;
@@ -143,9 +145,17 @@ fn absorb_nl_key(h: &mut Fnv1a, pair: &TrainingPair) {
 
 /// Feed `h` the bytes of [`TrainingPair::sql_text`] as the query's
 /// `Display` impl prints them, without building the text.
-fn absorb_sql(h: &mut Fnv1a, pair: &TrainingPair) {
+fn absorb_sql(h: &mut Fnv1a, query: &Query) {
     use std::fmt::Write as _;
-    let _ = write!(h, "{}", pair.sql);
+    let _ = write!(h, "{query}");
+}
+
+/// FNV-1a over the query's text: the SQL half of a
+/// [`DedupPolicy::ResolveConflicts`] key.
+fn sql_hash(query: &Query) -> u64 {
+    let mut h = Fnv1a::new();
+    absorb_sql(&mut h, query);
+    h.finish()
 }
 
 /// FNV-1a over [`TrainingPair::nl_key`], a separator, and the SQL
@@ -155,7 +165,7 @@ fn pair_hash(pair: &TrainingPair) -> u64 {
     let mut h = Fnv1a::new();
     absorb_nl_key(&mut h, pair);
     h.update(&[0x1f]);
-    absorb_sql(&mut h, pair);
+    absorb_sql(&mut h, &pair.sql);
     h.finish()
 }
 
@@ -163,7 +173,8 @@ fn pair_hash(pair: &TrainingPair) -> u64 {
 /// count, byte count, and a running FNV-1a digest over the emitted
 /// bytes. Each line is encoded field by field into one reused buffer
 /// (the bytes of [`crate::pair_to_jsonl`] plus a newline), written, and
-/// digested. Over [`std::io::sink`] it writes nothing and only digests —
+/// digested. The SQL is escaped once per run of pairs that share a
+/// query. Over [`std::io::sink`] it writes nothing and only digests —
 /// the 1-vs-8-threads byte-identity check the corpus gate runs without
 /// writing the file twice.
 pub struct JsonlSink<W: Write> {
@@ -173,6 +184,8 @@ pub struct JsonlSink<W: Write> {
     bytes: u64,
     /// The line being written; cleared, not freed, between pairs.
     line: String,
+    /// The escaped SQL of the last query written.
+    sql: QueryMemo<String>,
 }
 
 impl<W: Write> JsonlSink<W> {
@@ -184,6 +197,7 @@ impl<W: Write> JsonlSink<W> {
             pairs: 0,
             bytes: 0,
             line: String::new(),
+            sql: QueryMemo::new(),
         }
     }
 
@@ -211,7 +225,8 @@ impl<W: Write> JsonlSink<W> {
 impl<W: Write> CorpusSink for JsonlSink<W> {
     fn accept(&mut self, pair: TrainingPair) -> Result<usize, SinkError> {
         self.line.clear();
-        write_pair_jsonl(&pair, &mut self.line);
+        let sql = self.sql.get(&pair.sql, escaped_sql);
+        write_pair_jsonl(&pair, sql, &mut self.line);
         self.line.push('\n');
         self.writer.write_all(self.line.as_bytes())?;
         self.digest.update(self.line.as_bytes());
@@ -444,11 +459,11 @@ impl StreamDedup {
         // hash, score). Replacement happens in place at the first-seen
         // slot, so emission order is stable under resolution.
         let mut slots: HashMap<u64, (usize, u64, u32)> = HashMap::new();
+        let mut sql_hashes = QueryMemo::new();
         for (pair, score) in scored {
-            let (mut nl_h, mut sql_h) = (Fnv1a::new(), Fnv1a::new());
+            let mut nl_h = Fnv1a::new();
             absorb_nl_key(&mut nl_h, &pair);
-            absorb_sql(&mut sql_h, &pair);
-            let (nl_h, sql_h) = (nl_h.finish(), sql_h.finish());
+            let (nl_h, sql_h) = (nl_h.finish(), *sql_hashes.get(&pair.sql, sql_hash));
             if let Some(&winner_sql) = self.index.get(&nl_h) {
                 // An earlier round already emitted this NL; emitted
                 // bytes are final.
@@ -655,6 +670,12 @@ impl StreamReport {
             "  bytes     {} accepted, estimated peak {}\n",
             self.bytes_accepted, self.estimated_peak_bytes
         );
+        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+        out += &format!(
+            "  time      {:.1}ms in the stages, {:.1}ms in the sink\n",
+            ms(self.timings.total),
+            ms(self.timings.sink)
+        );
         if let Some(rss) = self.peak_resident_bytes {
             out += &format!(
                 "  resident  peak {:.1} MiB\n",
@@ -745,20 +766,25 @@ impl TrainingPipeline {
                 ..self.config().clone()
             };
             let schema = schemas[round % schemas.len()];
-            let (admitted, round_report) =
+            let (admitted, mut round_report) =
                 TrainingPipeline::new(config).run_stages(schema, templates, &mut dedup);
             report.generated += round_report.final_pairs + round_report.dedup_dropped;
             report.exact_dropped += admitted.exact_dropped;
             report.conflicts_resolved += admitted.conflicts_resolved;
             report.analyzer_rejected += round_report.analyzer.rejected;
+
+            let (accepted, sink_time) = timed(|| -> Result<u64, SinkError> {
+                let mut bytes = 0u64;
+                for pair in admitted.pairs {
+                    bytes += sink.accept(pair)? as u64;
+                    report.emitted += 1;
+                }
+                Ok(bytes)
+            });
+            let round_bytes = accepted.map_err(StreamError::Sink)?;
+            round_report.timings.sink = sink_time;
             report.timings.accumulate(&round_report.timings);
             report.rounds.push(round_report);
-
-            let mut round_bytes = 0u64;
-            for pair in admitted.pairs {
-                round_bytes += sink.accept(pair).map_err(StreamError::Sink)? as u64;
-                report.emitted += 1;
-            }
             report.bytes_accepted += round_bytes;
             report.estimated_peak_bytes = report
                 .estimated_peak_bytes
@@ -782,6 +808,7 @@ mod tests {
     use super::*;
     use dbpal_schema::{SchemaBuilder, SemanticDomain, SqlType};
     use dbpal_util::fnv1a;
+    use std::sync::Arc;
 
     fn schema() -> Schema {
         SchemaBuilder::new("hospital")
@@ -866,7 +893,7 @@ mod tests {
                 "{:?}",
                 pair.nl_key()
             );
-            assert_eq!(hash(absorb_sql, &pair), fnv1a(pair.sql_text().as_bytes()));
+            assert_eq!(sql_hash(&pair.sql), fnv1a(pair.sql_text().as_bytes()));
             let mut key = pair.nl_key().into_bytes();
             key.push(0x1f);
             key.extend(pair.sql_text().bytes());
@@ -931,6 +958,98 @@ mod tests {
             pipeline.stream(&[&schema()], &bad, &mut sink),
             Err(StreamError::Options(_))
         ));
+    }
+
+    /// One generated round before analysis, with four fixture pairs
+    /// whose queries run A, A, B, A (A fails analysis; the middle pair
+    /// conflicts with the second, the last repeats the first).
+    fn round_with_shared_queries() -> Vec<TrainingPair> {
+        let schema = schema();
+        let config = GenerationConfig::small();
+        let mut corpus = crate::Generator::new(&schema, &config).generate(&catalog());
+        for pair in crate::Augmenter::new(&schema, &config).augment(&corpus) {
+            corpus.push(pair);
+        }
+        let a = Arc::new(dbpal_sql::parse_query("SELECT salary FROM patients").unwrap());
+        let b = Arc::new(dbpal_sql::parse_query("SELECT name FROM patients").unwrap());
+        for (nl, sql) in [
+            ("what are the salaries", &a),
+            ("list the salaries", &a),
+            ("list the salaries", &b),
+            ("what are the salaries", &a),
+        ] {
+            corpus.push(TrainingPair::new(
+                nl,
+                Arc::clone(sql),
+                "t",
+                Provenance::Manual,
+            ));
+        }
+        let lemmatizer = dbpal_nlp::Lemmatizer::new();
+        corpus
+            .into_iter()
+            .map(|mut p| {
+                p.nl_lemmas = lemmatizer.lemmatize_sentence(&p.nl);
+                p
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_queries_change_no_verdict_key_or_byte() {
+        let shared = round_with_shared_queries();
+        let runs = shared
+            .windows(2)
+            .filter(|w| Arc::ptr_eq(&w[0].sql, &w[1].sql))
+            .count();
+        assert!(runs > shared.len() / 2, "only {runs} shared neighbours");
+        let copied: Vec<TrainingPair> = shared
+            .iter()
+            .map(|p| TrainingPair {
+                sql: Arc::new(Query::clone(&p.sql)),
+                ..p.clone()
+            })
+            .collect();
+        let schema = schema();
+        let analyze = |pairs: &[TrainingPair], policy| {
+            let par = dbpal_util::ParStrategy::default();
+            crate::pipeline::analyze_pairs_scored_with(&schema, pairs.to_vec(), 2, policy, &par)
+        };
+        for policy in [
+            dbpal_analyze::AnalyzerPolicy::Warn,
+            dbpal_analyze::AnalyzerPolicy::Reject,
+        ] {
+            let (scored, report) = analyze(&shared, policy);
+            let (scored_copies, report_copies) = analyze(&copied, policy);
+            assert_eq!(scored, scored_copies, "{policy:?}");
+            assert_eq!(report, report_copies, "{policy:?}");
+            assert_eq!(report.flagged, 3, "the A pairs are flagged: {report:?}");
+        }
+        let (scored, _) = analyze(&shared, dbpal_analyze::AnalyzerPolicy::Warn);
+        let scored_copies: Vec<(TrainingPair, u32)> = scored
+            .iter()
+            .map(|(p, score)| {
+                let sql = Arc::new(Query::clone(&p.sql));
+                (TrainingPair { sql, ..p.clone() }, *score)
+            })
+            .collect();
+        for policy in [DedupPolicy::Exact, DedupPolicy::ResolveConflicts] {
+            let admit = |round: Vec<(TrainingPair, u32)>| {
+                let out = StreamDedup::new(policy).admit_round(round);
+                (out.pairs, out.exact_dropped, out.conflicts_resolved)
+            };
+            let admitted = admit(scored.clone());
+            assert!(admitted.1 > 0, "{policy:?} dropped no repeat");
+            assert_eq!(admitted, admit(scored_copies.clone()), "{policy:?}");
+        }
+        let jsonl = |pairs: Vec<TrainingPair>| {
+            let mut sink = JsonlSink::new(Vec::new());
+            for pair in pairs {
+                sink.accept(pair).unwrap();
+            }
+            sink.into_inner()
+        };
+        assert_eq!(jsonl(shared), jsonl(copied));
     }
 
     #[test]

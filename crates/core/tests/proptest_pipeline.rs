@@ -58,7 +58,7 @@ fn corpus_invariants_hold_for_any_config() {
             let text = pair.sql_text();
             let reparsed = dbpal_sql::parse_query(&text)
                 .unwrap_or_else(|e| panic!("unparseable `{text}`: {e}"));
-            assert_eq!(&reparsed, &pair.sql);
+            assert_eq!(&reparsed, &*pair.sql);
             // NL is fully instantiated and lemmatized.
             assert!(!pair.nl.contains('{'), "unfilled slot in `{}`", pair.nl);
             assert!(!pair.nl_lemmas.is_empty());

@@ -133,7 +133,7 @@ impl TranslationModel for RetrievalModel {
                 } else {
                     p.nl_lemmas.iter().map(|w| self.vocab.intern(w)).collect()
                 };
-                (toks, p.sql.clone())
+                (toks, Query::clone(&p.sql))
             })
             .collect();
         if let Some(cap) = opts.max_pairs {

@@ -662,7 +662,7 @@ impl TranslationModel for SketchModel {
                 } else {
                     p.nl_lemmas.join(" ")
                 };
-                (nl, p.sql.clone())
+                (nl, Query::clone(&p.sql))
             })
             .collect();
         pairs.shuffle(&mut rng);

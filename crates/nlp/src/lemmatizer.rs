@@ -17,14 +17,15 @@ use dbpal_util::intern::{Sym, Vocab};
 
 use crate::tokenizer::{scan_tokens, TokenScratch};
 
-/// A rule-based lemmatizer. Construction builds the irregular-form table;
+/// A rule-based lemmatizer. Construction builds the lookup table;
 /// [`Lemmatizer::lemma_of`] is then allocation-free except when a suffix
 /// rule has to synthesize a restored stem (`cities → city`).
 #[derive(Debug, Clone)]
 pub struct Lemmatizer {
-    irregular: HashMap<&'static str, &'static str>,
-    /// Words that look inflected but are base forms ("species", "less").
-    invariant: Vec<&'static str>,
+    /// Irregular forms mapped to their lemmas, and the invariant words
+    /// that look inflected but are base forms ("species") mapped to
+    /// themselves.
+    known: HashMap<&'static str, &'static str>,
 }
 
 /// Irregular verbs, nouns, and comparatives relevant to NLIDB vocabulary.
@@ -154,7 +155,8 @@ const IRREGULAR: &[(&str, &str)] = &[
     ("cheapest", "cheap"),
 ];
 
-/// Words ending in s/ed/ing that are already base forms.
+/// Words ending in s/ed/ing that are already base forms. An
+/// [`IRREGULAR`] entry for the same word ("was", "less") wins.
 const INVARIANT: &[&str] = &[
     "species",
     "series",
@@ -215,12 +217,13 @@ const INVARIANT: &[&str] = &[
 ];
 
 impl Lemmatizer {
-    /// Build a lemmatizer with the built-in irregular tables.
+    /// Build a lemmatizer with the built-in irregular and invariant
+    /// words. Invariant words go in first, so an irregular entry for the
+    /// same word replaces them.
     pub fn new() -> Self {
-        Lemmatizer {
-            irregular: IRREGULAR.iter().copied().collect(),
-            invariant: INVARIANT.to_vec(),
-        }
+        let mut known: HashMap<_, _> = INVARIANT.iter().map(|&w| (w, w)).collect();
+        known.extend(IRREGULAR.iter().copied());
+        Lemmatizer { known }
     }
 
     /// Lemmatize a single lowercase token, allocating an owned `String`.
@@ -233,18 +236,15 @@ impl Lemmatizer {
     /// suffix rule has to synthesize a restored stem. Placeholders
     /// (`@X`) and numbers pass through unchanged.
     pub fn lemma_of<'a>(&self, word: &'a str) -> Cow<'a, str> {
-        if word.starts_with('@') || word.chars().all(|c| c.is_ascii_digit()) {
+        if word.starts_with('@') || word.bytes().all(|b| b.is_ascii_digit()) {
             return Cow::Borrowed(word);
         }
         // Possessives: car's -> car, James' -> James.
         if let Some(stripped) = word.strip_suffix("'s").or_else(|| word.strip_suffix('\'')) {
             return self.lemma_of(stripped);
         }
-        if let Some(&lemma) = self.irregular.get(word) {
+        if let Some(&lemma) = self.known.get(word) {
             return Cow::Borrowed(lemma);
-        }
-        if self.invariant.contains(&word) {
-            return Cow::Borrowed(word);
         }
         self.suffix_rules(word)
     }
@@ -283,8 +283,8 @@ impl Lemmatizer {
         // only handle doubling and plain stripping).
         if n > 5 {
             if let Some(stem) = word.strip_suffix("ing") {
-                if has_doubled_final_consonant(stem) {
-                    return Cow::Borrowed(&stem[..stem.len() - 1]);
+                if let Some(undoubled) = undouble_final_consonant(stem) {
+                    return Cow::Borrowed(undoubled);
                 }
                 if stem_is_wordlike(stem) {
                     return Cow::Borrowed(stem);
@@ -295,8 +295,8 @@ impl Lemmatizer {
         // stopped -> stop (doubling).
         if n > 4 {
             if let Some(stem) = word.strip_suffix("ed") {
-                if has_doubled_final_consonant(stem) {
-                    return Cow::Borrowed(&stem[..stem.len() - 1]);
+                if let Some(undoubled) = undouble_final_consonant(stem) {
+                    return Cow::Borrowed(undoubled);
                 }
                 // Restore a dropped 'e' when the stem ends in a pattern
                 // that required one (averag -> average, stat -> state is
@@ -329,17 +329,13 @@ impl Lemmatizer {
         Cow::Borrowed(word)
     }
 
-    /// Lemmatize every token in a sequence.
-    pub fn lemmatize_tokens(&self, tokens: &[String]) -> Vec<String> {
-        tokens
-            .iter()
-            .map(|t| self.lemma_of(t).into_owned())
-            .collect()
-    }
-
     /// Tokenize and lemmatize a whole sentence.
     pub fn lemmatize_sentence(&self, sentence: &str) -> Vec<String> {
-        self.lemmatize_tokens(&crate::tokenize(sentence))
+        let mut lemmas = Vec::new();
+        scan_tokens(sentence, &mut TokenScratch::default(), |tok| {
+            lemmas.push(self.lemma_of(tok).into_owned());
+        });
+        lemmas
     }
 
     /// Interned, allocation-light variant of
@@ -373,14 +369,16 @@ impl Default for Lemmatizer {
     }
 }
 
-fn has_doubled_final_consonant(stem: &str) -> bool {
-    let chars: Vec<char> = stem.chars().collect();
-    let n = chars.len();
-    n >= 2
-        && chars[n - 1] == chars[n - 2]
-        && !"aeiou".contains(chars[n - 1])
-        && chars[n - 1] != 's'
-        && chars[n - 1] != 'l'
+/// `stem` without its last char when that char is a doubled consonant
+/// other than `s` or `l` (`runn` → `run`, `stopp` → `stop`).
+fn undouble_final_consonant(stem: &str) -> Option<&str> {
+    let mut rev = stem.char_indices().rev();
+    let ((last_at, last), (_, before)) = (rev.next()?, rev.next()?);
+    if last == before && !"aeiousl".contains(last) {
+        stem.get(..last_at)
+    } else {
+        None
+    }
 }
 
 /// Crude check that a stripped stem still looks like an English word:
@@ -457,6 +455,16 @@ mod tests {
         assert_eq!(l("status"), "status");
         assert_eq!(l("address"), "address");
         assert_eq!(l("this"), "this");
+        // An irregular entry for an invariant word wins.
+        assert_eq!(l("was"), "be");
+        assert_eq!(l("less"), "little");
+    }
+
+    #[test]
+    fn non_ascii_doubled_letters_undouble_by_whole_chars() {
+        assert_eq!(l("ééing"), "é");
+        assert_eq!(l("ççed"), "ç");
+        assert_eq!(l("ȼȼȼing"), "ȼȼ");
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Word tokenization for NL queries.
 
-/// Reusable tokenization buffers. One per request on the serving path:
-/// [`scan_tokens`] clears and refills these instead of allocating a
-/// fresh `Vec<char>` and token `String` for every query.
+/// Reusable tokenization buffer. One per request on the serving path:
+/// [`scan_tokens`] clears and refills it instead of allocating a fresh
+/// token `String` for every query.
 #[derive(Debug, Default)]
 pub struct TokenScratch {
-    chars: Vec<char>,
     token: String,
 }
 
@@ -19,67 +18,75 @@ pub struct TokenScratch {
 /// * Alphanumeric runs form tokens; `-` and `'` inside a word are kept
 ///   (`mother-in-law`, `patient's`), other punctuation is dropped.
 /// * Numbers are kept as their own tokens.
+///
+/// The scan walks `text` by char boundaries and case-maps each token
+/// slice straight into the scratch `String`.
 pub fn scan_tokens(text: &str, scratch: &mut TokenScratch, mut emit: impl FnMut(&str)) {
-    let TokenScratch { chars, token } = scratch;
-    chars.clear();
-    chars.extend(text.chars());
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
+    let token = &mut scratch.token;
+    let mut chars = text.char_indices().peekable();
+    while let Some((start, c)) = chars.next() {
         if c == '@' {
-            let start = i;
-            i += 1;
-            while i < chars.len()
-                && (chars[i].is_alphanumeric() || chars[i] == '_' || chars[i] == '.')
+            let mut end = start + 1;
+            while let Some((i, c)) =
+                chars.next_if(|&(_, c)| c.is_alphanumeric() || c == '_' || c == '.')
             {
-                i += 1;
+                end = i + c.len_utf8();
             }
-            if i > start + 1 {
+            if let Some(name) = text.get(start + 1..end).filter(|name| !name.is_empty()) {
                 token.clear();
                 token.push('@');
-                push_uppercased(token, &chars[start + 1..i]);
+                push_uppercased(token, name);
                 emit(token);
             }
-            continue;
-        }
-        if c.is_alphanumeric() {
-            let start = i;
-            while i < chars.len()
-                && (chars[i].is_alphanumeric()
-                    || ((chars[i] == '-' || chars[i] == '\'')
-                        && i + 1 < chars.len()
-                        && chars[i + 1].is_alphanumeric()))
-            {
-                i += 1;
+        } else if c.is_alphanumeric() {
+            let mut end = start + c.len_utf8();
+            while let Some(&(i, c)) = chars.peek() {
+                if c.is_alphanumeric() {
+                    end = i + c.len_utf8();
+                } else if !((c == '-' || c == '\'')
+                    && text
+                        .get(i + 1..)
+                        .and_then(|after| after.chars().next())
+                        .is_some_and(char::is_alphanumeric))
+                {
+                    break;
+                }
+                chars.next();
             }
-            token.clear();
-            push_lowercased(token, &chars[start..i]);
-            emit(token);
-            continue;
+            if let Some(word) = text.get(start..end) {
+                token.clear();
+                push_lowercased(token, word);
+                emit(token);
+            }
         }
-        i += 1;
     }
 }
 
-/// Append the lowercase form of `chars` to `out`. ASCII runs lowercase
+/// Append the lowercase form of `word` to `out`. ASCII words lowercase
 /// in place; anything else takes the full Unicode mapping via
-/// `str::to_lowercase` (identical output, one extra allocation).
-fn push_lowercased(out: &mut String, chars: &[char]) {
-    if chars.iter().all(|c| c.is_ascii()) {
-        out.extend(chars.iter().map(|c| c.to_ascii_lowercase()));
+/// `str::to_lowercase` (word-final sigma included).
+fn push_lowercased(out: &mut String, word: &str) {
+    if word.is_ascii() {
+        let from = out.len();
+        out.push_str(word);
+        if let Some(pushed) = out.get_mut(from..) {
+            pushed.make_ascii_lowercase();
+        }
     } else {
-        let raw: String = chars.iter().collect();
-        out.push_str(&raw.to_lowercase());
+        out.push_str(&word.to_lowercase());
     }
 }
 
 /// Uppercase twin of [`push_lowercased`].
-fn push_uppercased(out: &mut String, chars: &[char]) {
-    if chars.iter().all(|c| c.is_ascii()) {
-        out.extend(chars.iter().map(|c| c.to_ascii_uppercase()));
+fn push_uppercased(out: &mut String, word: &str) {
+    if word.is_ascii() {
+        let from = out.len();
+        out.push_str(word);
+        if let Some(pushed) = out.get_mut(from..) {
+            pushed.make_ascii_uppercase();
+        }
     } else {
-        let raw: String = chars.iter().collect();
-        out.push_str(&raw.to_uppercase());
+        out.push_str(&word.to_uppercase());
     }
 }
 
@@ -179,6 +186,68 @@ mod tests {
             tokenize("Señor Müller's café"),
             vec!["señor", "müller's", "café"]
         );
+    }
+
+    /// The `Vec<char>` scanner `scan_tokens` replaced, kept as the
+    /// oracle for the `&str` walk.
+    fn char_vec_tokens(text: &str) -> Vec<String> {
+        let chars: Vec<char> = text.chars().collect();
+        let case = |chars: &[char], upper: bool| {
+            let raw: String = chars.iter().collect();
+            if upper {
+                raw.to_uppercase()
+            } else {
+                raw.to_lowercase()
+            }
+        };
+        let mut tokens = Vec::new();
+        let mut i = 0;
+        while i < chars.len() {
+            let c = chars[i];
+            if c == '@' {
+                let start = i;
+                i += 1;
+                while i < chars.len()
+                    && (chars[i].is_alphanumeric() || chars[i] == '_' || chars[i] == '.')
+                {
+                    i += 1;
+                }
+                if i > start + 1 {
+                    tokens.push(format!("@{}", case(&chars[start + 1..i], true)));
+                }
+                continue;
+            }
+            if c.is_alphanumeric() {
+                let start = i;
+                while i < chars.len()
+                    && (chars[i].is_alphanumeric()
+                        || ((chars[i] == '-' || chars[i] == '\'')
+                            && i + 1 < chars.len()
+                            && chars[i + 1].is_alphanumeric()))
+                {
+                    i += 1;
+                }
+                tokens.push(case(&chars[start..i], false));
+                continue;
+            }
+            i += 1;
+        }
+        tokens
+    }
+
+    #[test]
+    fn str_walk_matches_char_vec_oracle() {
+        const ALPHABET: &[char] = &[
+            'a', 'B', 'z', 'Q', '0', '7', '@', '_', '.', '-', '\'', ',', ' ', '\t', '\n', 'é', 'Ü',
+            'ß', 'Σ', 'λ', '中', 'İ', '🙂', '٣',
+        ];
+        let mut scratch = TokenScratch::default();
+        dbpal_util::forall!(cases = 512, |rng| {
+            let text = dbpal_util::check::string_from(rng, ALPHABET, 0..=40);
+            let mut scanned = Vec::new();
+            scan_tokens(&text, &mut scratch, |t| scanned.push(t.to_string()));
+            assert_eq!(scanned, char_vec_tokens(&text), "tokens of {text:?}");
+        });
     }
 
     #[test]

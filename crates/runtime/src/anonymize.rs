@@ -319,26 +319,41 @@ impl<'a> ParameterHandler<'a> {
 }
 
 /// Split into word tokens preserving original case (digits, letters,
-/// inner hyphens/apostrophes).
+/// inner hyphens/apostrophes). A numeral keeps its sign, decimal point
+/// and digit groups (`-5`, `1.5`, `1,000`): in a word that starts with a
+/// digit or a sign, a `.` between two digits stays, and so does a `,`
+/// between a digit and exactly three digits; a `-` that starts a word
+/// and is followed by a digit is a sign.
 fn split_words(input: &str) -> Vec<String> {
-    let chars: Vec<char> = input.chars().collect();
+    let digit_at = |i: usize| input.as_bytes().get(i).is_some_and(u8::is_ascii_digit);
+    let alphanumeric_after = |i: usize| {
+        input
+            .get(i + 1..)
+            .and_then(|rest| rest.chars().next())
+            .is_some_and(char::is_alphanumeric)
+    };
     let mut words = Vec::new();
-    let mut i = 0;
-    while i < chars.len() {
-        if chars[i].is_alphanumeric() {
-            let start = i;
-            while i < chars.len()
-                && (chars[i].is_alphanumeric()
-                    || ((chars[i] == '-' || chars[i] == '\'')
-                        && i + 1 < chars.len()
-                        && chars[i + 1].is_alphanumeric()))
-            {
-                i += 1;
-            }
-            words.push(chars[start..i].iter().collect());
-        } else {
-            i += 1;
+    let mut chars = input.char_indices().peekable();
+    while let Some((start, c)) = chars.next() {
+        // No alphanumeric comes right before a `-` seen here: a `-`
+        // after one and before a digit joins the word in front of it.
+        let signed = c == '-' && digit_at(start + 1);
+        if !(c.is_alphanumeric() || signed) {
+            continue;
         }
+        let numeral = signed || c.is_ascii_digit();
+        let mut end = start + c.len_utf8();
+        while let Some((i, c)) = chars.next_if(|&(i, c)| match c {
+            '-' | '\'' => alphanumeric_after(i),
+            '.' => numeral && digit_at(i - 1) && digit_at(i + 1),
+            ',' => {
+                numeral && digit_at(i - 1) && (1..=3).all(|k| digit_at(i + k)) && !digit_at(i + 4)
+            }
+            _ => c.is_alphanumeric(),
+        }) {
+            end = i + c.len_utf8();
+        }
+        words.extend(input.get(start..end).map(String::from));
     }
     words
 }
@@ -355,16 +370,25 @@ fn text_binding(placeholder: String, canonical: &str, column: ColumnId) -> Bindi
 }
 
 /// A numeral's value: an integer, else a finite float such as `1e3`.
-/// Only a word that starts with an ASCII digit is a numeral, so words
-/// that `f64` also parses (`nan`, `inf`, `Infinity`) stay words.
+/// Only a word that starts with an ASCII digit, or with `-` and one, is
+/// a numeral, so words that `f64` also parses (`nan`, `inf`,
+/// `Infinity`) stay words. Digit-group commas (`1,000`) are dropped
+/// before parsing.
 fn parse_number(word: &str) -> Option<Value> {
-    if !word.starts_with(|c: char| c.is_ascii_digit()) {
+    let unsigned = word.strip_prefix('-').unwrap_or(word);
+    if !unsigned.starts_with(|c: char| c.is_ascii_digit()) {
         return None;
     }
-    if let Ok(i) = word.parse::<i64>() {
+    let numeral = if word.contains(',') {
+        Cow::Owned(word.replace(',', ""))
+    } else {
+        Cow::Borrowed(word)
+    };
+    if let Ok(i) = numeral.parse::<i64>() {
         return Some(Value::Int(i));
     }
-    word.parse::<f64>()
+    numeral
+        .parse::<f64>()
         .ok()
         .filter(|f| f.is_finite())
         .map(Value::Float)
@@ -506,14 +530,23 @@ mod tests {
                 a.bindings
             );
         }
-        // Digit-led numerals bind as they always have.
+        // Digit-led numerals bind as they always have, and punctuation
+        // that is no sign, decimal point or digit group still splits.
+        let ages = [("AGE", Value::Int(20)), ("AGE_2", Value::Int(30))];
         for (question, expected) in [
             ("patients with age 80", &[("AGE", Value::Int(80))][..]),
+            ("patients with age 80.", &[("AGE", Value::Int(80))]),
             (
                 "patients with age between 20 and 30",
                 &[("AGE_LOW", Value::Int(20)), ("AGE_HIGH", Value::Int(30))],
             ),
+            ("patients with ages 20,30", &ages),
+            ("patients aged 20-30", &[]),
             ("patients with age 1e3", &[("AGE", Value::Float(1000.0))]),
+            (
+                "patients with age 1,0000",
+                &[("AGE", Value::Int(1)), ("AGE_2", Value::Int(0))],
+            ),
         ] {
             let a = handler.anonymize(question);
             let bound: Vec<(&str, Value)> = a
@@ -522,6 +555,23 @@ mod tests {
                 .map(|b| (b.placeholder.as_str(), b.value.clone()))
                 .collect();
             assert_eq!(bound, expected, "`{question}` → {}", a.text);
+        }
+    }
+
+    #[test]
+    fn numerals_keep_sign_decimals_and_digit_groups() {
+        let (db, idx) = setup();
+        let handler = ParameterHandler::new(db.schema(), &idx);
+        for (question, expected) in [
+            ("patients with age 1.5", Value::Float(1.5)),
+            ("patients older than -5", Value::Int(-5)),
+            ("patients with age 1,000", Value::Int(1000)),
+            ("patients with age -1,000.5", Value::Float(-1000.5)),
+        ] {
+            let a = handler.anonymize(question);
+            assert_eq!(a.bindings.len(), 1, "`{question}` → {}", a.text);
+            assert_eq!(a.bindings[0].value, expected, "`{question}`");
+            assert!(a.text.ends_with(" @AGE"), "`{question}` → {}", a.text);
         }
     }
 
