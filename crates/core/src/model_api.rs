@@ -67,10 +67,9 @@ pub trait TranslationModel {
     /// Translate an interned lemma sequence (ids issued by `vocab`).
     ///
     /// The default materializes the lemmas and delegates to
-    /// [`TranslationModel::translate`], so every model works unchanged;
-    /// models on the serving hot path override this to match on `Sym`
-    /// ids directly and skip string construction entirely. Must agree
-    /// with `translate` on the resolved token sequence.
+    /// [`TranslationModel::translate`]; no model overrides it. Kept for
+    /// e2ebench's layer replay, which times this call; the serving path
+    /// calls `translate`.
     fn translate_syms(&self, lemmas: &[Sym], vocab: &Vocab) -> Option<Query> {
         let strings: Vec<String> = lemmas
             .iter()

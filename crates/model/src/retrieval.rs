@@ -5,49 +5,79 @@
 //! TF-IDF-weighted cosine similarity. It provides a sanity floor for the
 //! learned models and a fast stand-in for tests.
 //!
-//! Tokens are interned into a private [`Vocab`] so the hot `translate`
-//! path compares `u32` ids instead of hashing strings, and the sparse
-//! vectors are kept sorted by id so the cosine dot product is a
-//! merge-join with a *deterministic* f32 summation order (the old
-//! `HashMap`-backed vectors summed in iteration order, which varies
-//! between runs).
+//! `train` numbers the corpus tokens with dense `u32` ids that
+//! `translate` only looks up, and the sparse vectors are kept sorted by
+//! id so the cosine dot product is a merge-join with a *deterministic*
+//! f32 summation order (the old `HashMap`-backed vectors summed in
+//! iteration order, which varies between runs).
 
 use dbpal_core::{TrainOptions, TrainingCorpus, TranslationModel};
 use dbpal_sql::Query;
-use dbpal_util::intern::{Sym, Vocab};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// TF-IDF nearest-neighbour translator.
 pub struct RetrievalModel {
-    /// Private interner for this model's token space. Re-created on every
-    /// `train` so ids stay dense and corpus-order-deterministic.
-    vocab: Vocab,
-    /// Document frequency per token.
-    df: HashMap<Sym, f32>,
-    /// Stored (tf-idf vector, SQL) pairs; vectors sorted by `Sym`.
-    entries: Vec<(Vec<(Sym, f32)>, Query)>,
+    /// Token → id, numbered in corpus first-seen order by `train`.
+    vocab: HashMap<String, u32>,
+    /// Document frequency per token id.
+    df: Vec<f32>,
+    /// Stored (tf-idf vector, SQL) pairs; vectors sorted by id.
+    entries: Vec<(Vec<(u32, f32)>, Query)>,
     n_docs: f32,
     /// Minimum cosine similarity to answer at all.
     pub min_similarity: f32,
+}
+
+/// `n` as a token id: distinct corpus tokens plus one query's tokens.
+fn token_id(n: usize) -> u32 {
+    u32::try_from(n).expect("retrieval token ids fit in u32")
 }
 
 impl RetrievalModel {
     /// Create an untrained retrieval model.
     pub fn new() -> Self {
         RetrievalModel {
-            vocab: Vocab::new(),
-            df: HashMap::new(),
+            vocab: HashMap::new(),
+            df: Vec::new(),
             entries: Vec::new(),
             n_docs: 0.0,
             min_similarity: 0.1,
         }
     }
 
-    /// TF-IDF sparse vector for a token sequence, sorted by `Sym`.
-    fn vectorize(&self, syms: &[Sym]) -> Vec<(Sym, f32)> {
-        let mut sorted: Vec<Sym> = syms.to_vec();
+    /// The id of a corpus token, numbering it if new.
+    fn add_token(&mut self, token: &str) -> u32 {
+        if let Some(&id) = self.vocab.get(token) {
+            return id;
+        }
+        let id = token_id(self.vocab.len());
+        self.vocab.insert(token.to_string(), id);
+        id
+    }
+
+    /// The ids of a query's tokens, without adding any to the table.
+    /// Tokens `train` never saw are numbered after the trained ids in
+    /// first-seen order, so they still weigh in the query norm and the
+    /// answer is the one a freshly trained model gives this query.
+    fn query_ids(&self, lemmas: &[String]) -> Vec<u32> {
+        let mut unknown: HashMap<&str, u32> = HashMap::new();
+        lemmas
+            .iter()
+            .map(|t| match self.vocab.get(t.as_str()) {
+                Some(&id) => id,
+                None => {
+                    let next = token_id(self.vocab.len() + unknown.len());
+                    *unknown.entry(t.as_str()).or_insert(next)
+                }
+            })
+            .collect()
+    }
+
+    /// TF-IDF sparse vector for a token sequence, sorted by id.
+    fn vectorize(&self, ids: &[u32]) -> Vec<(u32, f32)> {
+        let mut sorted: Vec<u32> = ids.to_vec();
         sorted.sort_unstable();
-        let mut v: Vec<(Sym, f32)> = Vec::with_capacity(sorted.len());
+        let mut v: Vec<(u32, f32)> = Vec::with_capacity(sorted.len());
         let mut i = 0;
         while i < sorted.len() {
             let s = sorted[i];
@@ -56,7 +86,7 @@ impl RetrievalModel {
                 tf += 1.0;
                 i += 1;
             }
-            let df = self.df.get(&s).copied().unwrap_or(0.0);
+            let df = self.df.get(s as usize).copied().unwrap_or(0.0);
             let idf = ((self.n_docs + 1.0) / (df + 1.0)).ln() + 1.0;
             v.push((s, tf * idf));
         }
@@ -64,7 +94,7 @@ impl RetrievalModel {
     }
 
     /// Cosine similarity of two id-sorted sparse vectors (merge-join).
-    fn cosine(a: &[(Sym, f32)], b: &[(Sym, f32)]) -> f32 {
+    fn cosine(a: &[(u32, f32)], b: &[(u32, f32)]) -> f32 {
         let mut dot = 0.0f32;
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
@@ -87,11 +117,10 @@ impl RetrievalModel {
         }
     }
 
-    /// Nearest-neighbour lookup over interned query tokens; materializes
-    /// the winning entry's SQL. Unknown tokens still carry ids (interned
-    /// at query time) so the query norm matches the string-era behavior.
-    fn nearest_sql(&self, query_syms: &[Sym]) -> Option<Query> {
-        let q = self.vectorize(query_syms);
+    /// Nearest-neighbour lookup over query token ids; materializes the
+    /// winning entry's SQL.
+    fn nearest_sql(&self, query_ids: &[u32]) -> Option<Query> {
+        let q = self.vectorize(query_ids);
         let mut best: Option<(f32, &Query)> = None;
         for (v, sql) in &self.entries {
             let sim = Self::cosine(&q, v);
@@ -118,20 +147,19 @@ impl TranslationModel for RetrievalModel {
     }
 
     fn train(&mut self, corpus: &TrainingCorpus, opts: &TrainOptions) {
-        self.vocab = Vocab::new();
-        self.df.clear();
+        self.vocab.clear();
         self.entries.clear();
-        let mut docs: Vec<(Vec<Sym>, Query)> = corpus
+        let mut docs: Vec<(Vec<u32>, Query)> = corpus
             .pairs()
             .iter()
             .map(|p| {
-                let toks: Vec<Sym> = if p.nl_lemmas.is_empty() {
+                let toks: Vec<u32> = if p.nl_lemmas.is_empty() {
                     p.nl.to_lowercase()
                         .split_whitespace()
-                        .map(|w| self.vocab.intern(w))
+                        .map(|w| self.add_token(w))
                         .collect()
                 } else {
-                    p.nl_lemmas.iter().map(|w| self.vocab.intern(w)).collect()
+                    p.nl_lemmas.iter().map(|w| self.add_token(w)).collect()
                 };
                 (toks, Query::clone(&p.sql))
             })
@@ -140,11 +168,12 @@ impl TranslationModel for RetrievalModel {
             docs.truncate(cap);
         }
         self.n_docs = docs.len() as f32;
+        self.df = vec![0.0; self.vocab.len()];
         for (toks, _) in &docs {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = HashSet::new();
             for &t in toks {
                 if seen.insert(t) {
-                    *self.df.entry(t).or_insert(0.0) += 1.0;
+                    self.df[t as usize] += 1.0;
                 }
             }
         }
@@ -158,24 +187,7 @@ impl TranslationModel for RetrievalModel {
         if self.entries.is_empty() {
             return None;
         }
-        let mut local = Vec::with_capacity(nl_lemmas.len());
-        for t in nl_lemmas {
-            local.push(self.vocab.intern(t));
-        }
-        self.nearest_sql(&local)
-    }
-
-    fn translate_syms(&self, lemmas: &[Sym], vocab: &Vocab) -> Option<Query> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        // The caller's ids come from a different interner; re-map into
-        // this model's private token space without building Strings.
-        let mut local = Vec::with_capacity(lemmas.len());
-        for &s in lemmas {
-            local.push(self.vocab.intern(vocab.resolve(s)));
-        }
-        self.nearest_sql(&local)
+        self.nearest_sql(&self.query_ids(nl_lemmas))
     }
 }
 
@@ -247,24 +259,14 @@ mod tests {
     }
 
     #[test]
-    fn translate_syms_matches_translate() {
+    fn novel_query_tokens_leave_the_token_table_unchanged() {
         let mut m = RetrievalModel::new();
         m.train(&corpus(), &TrainOptions::fast());
-        let shared = Vocab::new();
-        for q in [
-            "show the name of patient",
-            "average age of patient",
-            "zork frobnicate quux",
-            "patient average",
-        ] {
-            let words = lemmas(q);
-            let syms: Vec<Sym> = words.iter().map(|w| shared.intern(w)).collect();
-            assert_eq!(
-                m.translate_syms(&syms, &shared),
-                m.translate(&words),
-                "divergence for {q:?}"
-            );
+        let trained = m.vocab.len();
+        for i in 0..64 {
+            m.translate(&lemmas(&format!("how many novel{i} patient unseen{i}")));
         }
+        assert_eq!(m.vocab.len(), trained);
     }
 
     #[test]

@@ -342,7 +342,8 @@ impl Lemmatizer {
     /// [`Lemmatizer::lemmatize_sentence`]: tokenizes with the reusable
     /// `scratch` buffers, appends one [`Sym`] per lemma to `syms`, and
     /// extends `key` with the space-joined lemma text — byte-identical
-    /// to `lemmatize_sentence(sentence).join(" ")`.
+    /// to `lemmatize_sentence(sentence).join(" ")`. Kept for e2ebench's
+    /// layer replay; the serving path calls `lemmatize_sentence`.
     pub fn lemmatize_interned(
         &self,
         sentence: &str,

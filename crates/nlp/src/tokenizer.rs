@@ -1,8 +1,9 @@
 //! Word tokenization for NL queries.
 
-/// Reusable tokenization buffer. One per request on the serving path:
-/// [`scan_tokens`] clears and refills it instead of allocating a fresh
-/// token `String` for every query.
+/// Reusable tokenization buffer: [`scan_tokens`] clears and refills it
+/// instead of allocating a fresh `String` for every token. Public for
+/// `Lemmatizer::lemmatize_interned`, which e2ebench's layer replay calls
+/// with one scratch per request.
 #[derive(Debug, Default)]
 pub struct TokenScratch {
     token: String,

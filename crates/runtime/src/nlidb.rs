@@ -62,13 +62,6 @@ impl<M: TranslationModel> Nlidb<M> {
         self.model.train(&corpus, opts);
     }
 
-    /// Rebuild the value index after data changes. Note that the *model*
-    /// does not need retraining: placeholders make it independent of the
-    /// database content (§3.1).
-    pub fn refresh_index(&mut self) {
-        self.index = ValueIndex::build(&self.db);
-    }
-
     /// Swap in a different database (same or different content) and
     /// rebuild the value index. The model carries over untouched —
     /// placeholders keep it independent of the data (§3.1) — but any
@@ -100,10 +93,11 @@ impl<M: TranslationModel> Nlidb<M> {
         self.lemmatizer.lemmatize_sentence(text)
     }
 
-    /// Interned variant of [`Nlidb::lemmatize`] for the serving hot
-    /// path: appends one [`Sym`] per lemma to `syms` and the space-joined
-    /// lemma text (the cache key) to `key`, reusing the caller's scratch
-    /// buffers. Byte-identical to `lemmatize(text).join(" ")`.
+    /// Interned variant of [`Nlidb::lemmatize`]: appends one [`Sym`] per
+    /// lemma to `syms` and the space-joined lemma text (the cache key)
+    /// to `key`, reusing the caller's scratch buffers. Byte-identical to
+    /// `lemmatize(text).join(" ")`. Kept for e2ebench's layer replay;
+    /// the serving path calls [`Nlidb::lemmatize`].
     pub fn lemmatize_interned(
         &self,
         text: &str,
@@ -282,7 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn refresh_index_sees_new_values() {
+    fn replace_database_sees_new_values() {
         let model = Scripted::new(&[(
             "how many patient have @DISEASE",
             "SELECT COUNT(*) FROM patients WHERE disease = @DISEASE",

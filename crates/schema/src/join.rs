@@ -88,11 +88,6 @@ impl JoinGraph {
         self.adjacency.len()
     }
 
-    /// Direct foreign-key neighbors of a table.
-    pub fn neighbors(&self, table: TableId) -> &[(TableId, ColumnId, ColumnId)] {
-        &self.adjacency[table.0 as usize]
-    }
-
     /// BFS shortest path between two tables.
     ///
     /// Returns the edges along the path, in order from `from` to `to`.

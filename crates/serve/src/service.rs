@@ -56,10 +56,8 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use dbpal_core::TranslationModel;
 use dbpal_engine::Database;
-use dbpal_nlp::TokenScratch;
 use dbpal_runtime::{Anonymized, Nlidb, NlidbResponse, PostProcessor, RuntimeError};
 use dbpal_sql::Query;
-use dbpal_util::intern::{Sym, Vocab};
 use dbpal_util::metrics::{Counter, Histogram, MetricsRegistry};
 
 use crate::error::ServeError;
@@ -422,33 +420,30 @@ impl<M: TranslationModel + Send + Sync> QueryService<M> {
         let m = &self.metrics;
 
         // Phase 1: anonymize + lemmatize against the tenant's value
-        // index, forming each question's cache key. Lemmas travel as
-        // interned `Sym` ids (the cache key `String` is built in the
-        // same pass), through one tokenization scratch per request.
-        let vocab = Vocab::global();
-        let mut scratch = TokenScratch::default();
-        let mut pre: Vec<(Anonymized, Vec<Sym>, String)> = Vec::with_capacity(questions.len());
+        // index. A question's cache key is its lemmas joined by spaces.
+        let mut pre: Vec<(Anonymized, Vec<String>, String)> = Vec::with_capacity(questions.len());
         for q in questions {
             let anonymized = m.anonymize.time(|| nlidb.anonymize(q));
-            let (mut syms, mut key) = (Vec::new(), String::new());
-            m.lemmatize.time(|| {
-                nlidb.lemmatize_interned(&anonymized.text, vocab, &mut scratch, &mut syms, &mut key)
+            let (lemmas, key) = m.lemmatize.time(|| {
+                let lemmas = nlidb.lemmatize(&anonymized.text);
+                let key = lemmas.join(" ");
+                (lemmas, key)
             });
-            pre.push((anonymized, syms, key));
+            pre.push((anonymized, lemmas, key));
         }
 
         // Phase 2: consult the tenant's cache shard in batch order.
         // Repeated in-batch misses coalesce per key onto one pending
         // translation, which is what a sequential server would compute
-        // too. Pending entries borrow their key and lemma ids from
-        // phase 1; hits hold a copy of the cached query.
+        // too. Pending entries borrow their key and lemmas from phase
+        // 1; hits hold a copy of the cached query.
         let mut hits: Vec<Query> = Vec::new();
-        let mut pending: Vec<(&str, &[Sym])> = Vec::new();
+        let mut pending: Vec<(&str, &[String])> = Vec::new();
         let mut pending_index: BTreeMap<&str, usize> = BTreeMap::new();
         let mut plans: Vec<Plan> = Vec::with_capacity(pre.len());
         {
             let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-            for (_, syms, key) in &pre {
+            for (_, lemmas, key) in &pre {
                 if let Some(q) = cache.get(&t.id, key) {
                     m.cache_hit.inc();
                     t.m.cache_hit.inc();
@@ -464,22 +459,17 @@ impl<M: TranslationModel + Send + Sync> QueryService<M> {
                         Plan::Translate(*e.get())
                     }
                     Entry::Vacant(e) => {
-                        pending.push((key, syms));
+                        pending.push((key, lemmas));
                         Plan::Translate(*e.insert(pending.len() - 1))
                     }
                 });
             }
         }
 
-        // Phase 3: translate each unique missed key once, over the
-        // interned lemma ids — no string reconstruction for models that
-        // override `translate_syms`.
+        // Phase 3: translate each unique missed key once.
         let translated: Vec<Option<Query>> = pending
             .iter()
-            .map(|&(_, syms)| {
-                m.translate
-                    .time(|| nlidb.model().translate_syms(syms, vocab))
-            })
+            .map(|&(_, lemmas)| m.translate.time(|| nlidb.model().translate(lemmas)))
             .collect();
 
         // Phase 4: install successful translations in first-miss order.

@@ -21,16 +21,14 @@ use dbpal_engine::Database;
 use dbpal_runtime::Nlidb;
 use dbpal_schema::{Schema, SchemaBuilder, SemanticDomain, SqlType, Value};
 use dbpal_sql::{parse_query, Query};
-use dbpal_util::intern::{Sym, Vocab};
 use dbpal_util::{Rng, SliceRandom};
 
 use crate::TenantRegistry;
 
-/// A lookup model: lemmatized NL → SQL, nothing learned. Script keys
-/// are interned against [`Vocab::global`] at construction, so the hot
-/// lookup compares `Sym` slices, never strings.
+/// A lookup model: lemmatized NL → SQL, nothing learned. Each script
+/// key is kept as its lemma list, which `translate` compares exactly.
 pub struct ScriptedModel {
-    entries: Vec<(Vec<Sym>, Query)>,
+    entries: Vec<(Vec<String>, Query)>,
     delay: std::time::Duration,
 }
 
@@ -50,14 +48,13 @@ impl ScriptedModel {
     /// whose keys are computed (see [`cache_key_for`]) rather than
     /// hand-written.
     pub fn from_pairs(entries: Vec<(String, String)>) -> Self {
-        let vocab = Vocab::global();
         ScriptedModel {
             entries: entries
                 .into_iter()
                 .map(|(nl, sql)| {
                     let q = parse_query(&sql)
                         .unwrap_or_else(|e| panic!("bad scripted SQL `{sql}`: {e}"));
-                    let key = nl.split_whitespace().map(|w| vocab.intern(w)).collect();
+                    let key = nl.split_whitespace().map(str::to_string).collect();
                     (key, q)
                 })
                 .collect(),
@@ -72,15 +69,15 @@ impl ScriptedModel {
         self
     }
 
-    /// Exact-match lookup over interned keys (applies the configured
+    /// Exact-match lookup over the script keys (applies the configured
     /// delay) and materialization of the hit.
-    fn lookup(&self, syms: &[Sym]) -> Option<Query> {
+    fn lookup(&self, lemmas: &[String]) -> Option<Query> {
         if !self.delay.is_zero() {
             std::thread::sleep(self.delay);
         }
         self.entries
             .iter()
-            .find(|(nl, _)| nl.as_slice() == syms)
+            .find(|(nl, _)| nl.as_slice() == lemmas)
             .map(|(_, q)| q.clone())
     }
 }
@@ -93,26 +90,7 @@ impl TranslationModel for ScriptedModel {
     fn train(&mut self, _corpus: &TrainingCorpus, _opts: &TrainOptions) {}
 
     fn translate(&self, nl_lemmas: &[String]) -> Option<Query> {
-        let vocab = Vocab::global();
-        let mut syms = Vec::with_capacity(nl_lemmas.len());
-        for t in nl_lemmas {
-            syms.push(vocab.intern(t));
-        }
-        self.lookup(&syms)
-    }
-
-    fn translate_syms(&self, lemmas: &[Sym], vocab: &Vocab) -> Option<Query> {
-        if std::ptr::eq(vocab, Vocab::global()) {
-            // The serving layer's ids are already in the entry key
-            // space: compare directly, no re-mapping.
-            return self.lookup(lemmas);
-        }
-        let global = Vocab::global();
-        let mut syms = Vec::with_capacity(lemmas.len());
-        for &s in lemmas {
-            syms.push(global.intern(vocab.resolve(s)));
-        }
-        self.lookup(&syms)
+        self.lookup(nl_lemmas)
     }
 }
 

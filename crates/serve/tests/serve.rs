@@ -10,7 +10,7 @@ use dbpal_runtime::{Nlidb, RuntimeError};
 use dbpal_serve::testing::{hospital_db, hospital_question, hospital_script, ScriptedModel};
 use dbpal_serve::{QueryService, ServeConfig, ServeError};
 use dbpal_sql::Query;
-use dbpal_util::{check, fnv1a, forall, Rng, SliceRandom, Sym, Vocab};
+use dbpal_util::{check, fnv1a, forall, Rng, SliceRandom, Vocab};
 
 fn service(config: ServeConfig) -> QueryService<ScriptedModel> {
     QueryService::new(Nlidb::new(hospital_db(), hospital_script()), config)
@@ -252,12 +252,8 @@ impl TranslationModel for ThreadRecordingModel {
     }
 
     fn translate(&self, nl_lemmas: &[String]) -> Option<Query> {
-        self.script.translate(nl_lemmas)
-    }
-
-    fn translate_syms(&self, lemmas: &[Sym], vocab: &Vocab) -> Option<Query> {
         self.threads.lock().unwrap().push(thread::current().id());
-        self.script.translate_syms(lemmas, vocab)
+        self.script.translate(nl_lemmas)
     }
 }
 
@@ -289,6 +285,34 @@ fn a_request_is_served_on_its_callers_thread() {
         threads.iter().all(|&id| id == thread::current().id()),
         "a translation ran off the caller's thread"
     );
+}
+
+#[test]
+fn novel_words_leave_the_global_vocab_unchanged() {
+    // 64 requests of 8 questions, each question carrying 8 words no
+    // other question uses. Serving keeps no table of the words it has
+    // seen: the bounded translation cache is its only memory, and
+    // failed translations do not enter it.
+    let svc = service(ServeConfig::default());
+    let before = Vocab::global().len();
+    for request in 0..64 {
+        let questions: Vec<String> = (0..8)
+            .map(|question| {
+                let words: Vec<String> = (0..8)
+                    .map(|word| format!("novel{request}x{question}x{word}"))
+                    .collect();
+                format!("show the names of all patients {}", words.join(" "))
+            })
+            .collect();
+        for result in svc.submit_batch(&questions) {
+            assert_eq!(
+                result.unwrap_err(),
+                ServeError::Runtime(RuntimeError::TranslationFailed)
+            );
+        }
+    }
+    assert_eq!(Vocab::global().len(), before);
+    assert_eq!(svc.cache_len(), 0);
 }
 
 #[test]

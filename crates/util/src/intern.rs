@@ -1,10 +1,14 @@
-//! String interning for the per-query hot path.
+//! String interning: a [`Vocab`] assigns each distinct string a stable
+//! [`Sym`] (a `u32` id) that compares, hashes, and copies as a plain
+//! integer.
 //!
-//! The anonymize → lemmatize → translate path used to shuttle every
-//! token around as an owned `String`, cloning on each hand-off. A
-//! [`Vocab`] assigns each distinct string a stable [`Sym`] (a `u32`
-//! id), so the hot path can compare, hash, and copy tokens as plain
-//! integers and only materialize text when an answer leaves the system.
+//! The serving path does not intern. It moves each question's lemmas
+//! as `String`s: the deployed models consume strings, and a
+//! process-wide append-only table would grow with every novel token a
+//! server sees. This module, [`Vocab::global`], `dbpal_nlp::TokenScratch`,
+//! the two `lemmatize_interned` functions, and
+//! `TranslationModel::translate_syms` are kept for e2ebench's layer
+//! replay, which still times that interned path.
 //!
 //! Invariants:
 //!
@@ -60,7 +64,8 @@ impl Vocab {
         Vocab::default()
     }
 
-    /// The process-wide shared table used by the serving hot path.
+    /// The process-wide shared table. Only e2ebench's layer replay
+    /// interns into it; the serving path keeps no token table.
     pub fn global() -> &'static Vocab {
         static GLOBAL: OnceLock<Vocab> = OnceLock::new();
         GLOBAL.get_or_init(Vocab::new)

@@ -48,5 +48,5 @@ pub use log::LogEvent;
 pub use mem::resident_bytes;
 pub use metrics::{Counter, Histogram, MetricsRegistry};
 pub use par::{auto_threads, par_map_indexed};
-pub use pool::{ParStrategy, PoolError, WorkerPool};
+pub use pool::{ParStrategy, WorkerPool};
 pub use rng::{stream_seed, Rng, SliceRandom};

@@ -21,9 +21,8 @@
 //!
 //! Panic containment: a panic inside the mapped closure is caught, the
 //! job is cancelled, and the pool's helper threads survive. The panic
-//! surfaces as a typed [`PoolError`] from [`WorkerPool::try_map_indexed`]
-//! or is re-raised with its original payload by
-//! [`WorkerPool::map_indexed`], matching the scoped path's behavior.
+//! is re-raised with its original payload by [`WorkerPool::map_indexed`],
+//! matching the scoped path's behavior.
 
 use std::any::Any;
 use std::fmt;
@@ -33,30 +32,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use crate::par::{auto_threads, par_map_indexed};
 
-/// Typed failure surfaced by [`WorkerPool::try_map_indexed`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PoolError {
-    /// The mapped closure panicked on some item. The pool itself
-    /// survives and stays usable; the message is the stringified panic
-    /// payload.
-    WorkerPanicked(String),
-}
-
-impl fmt::Display for PoolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PoolError::WorkerPanicked(msg) => {
-                write!(f, "worker panicked while mapping: {msg}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PoolError {}
-
 /// One installed fan-out. The closure reference is lifetime-erased; see
-/// the safety argument on [`WorkerPool::try_map_indexed`] for why it is
-/// never dereferenced after that call returns.
+/// the safety argument in `WorkerPool::run` for why it is never
+/// dereferenced after that call returns.
 struct Job {
     run: &'static (dyn Fn(usize) + Sync),
     len: usize,
@@ -251,23 +229,6 @@ impl WorkerPool {
         }
     }
 
-    /// Like [`map_indexed`](WorkerPool::map_indexed) but a panic inside
-    /// `f` surfaces as a typed [`PoolError`] instead of unwinding.
-    pub fn try_map_indexed<T, R, F>(
-        &self,
-        items: &[T],
-        threads: usize,
-        f: F,
-    ) -> Result<Vec<R>, PoolError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.run(items, threads, f)
-            .map_err(|payload| PoolError::WorkerPanicked(payload_message(&payload)))
-    }
-
     fn run<T, R, F>(&self, items: &[T], threads: usize, f: F) -> Result<Vec<R>, Box<dyn Any + Send>>
     where
         T: Sync,
@@ -398,16 +359,6 @@ impl<R> SlotWriter<R> {
 // slot requires.
 unsafe impl<R: Send> Sync for SlotWriter<R> {}
 
-fn payload_message(payload: &Box<dyn Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).into()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.as_str().into()
-    } else {
-        "non-string panic payload".into()
-    }
-}
-
 /// How a pipeline or service executes its fan-outs. Defaults to the
 /// process-wide persistent pool; `Scoped` restores the PR-2 era
 /// spawn-per-call behavior, and `Pool` pins a caller-owned pool (used by
@@ -493,26 +444,6 @@ mod tests {
         let empty: Vec<u8> = vec![];
         assert!(pool.map_indexed(&empty, 4, |_, x| *x).is_empty());
         assert_eq!(pool.map_indexed(&[7u8], 4, |_, x| *x + 1), vec![8]);
-    }
-
-    #[test]
-    fn panic_is_typed_and_pool_survives() {
-        let pool = WorkerPool::new(4);
-        let items: Vec<u32> = (0..64).collect();
-        let err = pool
-            .try_map_indexed(&items, 4, |_, &x| {
-                if x == 13 {
-                    panic!("unlucky item");
-                }
-                x
-            })
-            .unwrap_err();
-        match &err {
-            PoolError::WorkerPanicked(msg) => assert!(msg.contains("unlucky")),
-        }
-        // The pool is still fully usable afterwards.
-        let ok = pool.try_map_indexed(&items, 4, |_, &x| x * 2).unwrap();
-        assert_eq!(ok, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

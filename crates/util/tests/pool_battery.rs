@@ -5,10 +5,11 @@
 //! `DBPAL_CHECK_CASES`) drive randomized shapes; the fixed tables pin
 //! the degenerate ones.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use dbpal_util::{forall, par_map_indexed, ParStrategy, PoolError, WorkerPool};
+use dbpal_util::{forall, par_map_indexed, ParStrategy, WorkerPool};
 
 /// A mapping whose output encodes both the item and its index, so any
 /// reordering or slot mixup changes the bytes.
@@ -106,15 +107,16 @@ fn typed_panic_surfaces_and_pool_stays_usable() {
     let pool = WorkerPool::new(4);
     let items: Vec<u32> = (0..128).collect();
     for round in 0..3 {
-        let err = pool
-            .try_map_indexed(&items, 8, |_, &x| {
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            pool.map_indexed(&items, 8, |_, &x| {
                 if x == 77 {
                     panic!("poisoned item in round {round}");
                 }
                 x
             })
-            .unwrap_err();
-        let PoolError::WorkerPanicked(msg) = &err;
+        }))
+        .unwrap_err();
+        let msg = payload.downcast_ref::<String>().expect("formatted payload");
         assert!(msg.contains("poisoned item"), "round {round}: {msg}");
         // Immediately after containment, a clean job must succeed.
         let ok = pool.map_indexed(&items, 8, |i, &x| tag(i, u64::from(x)));
@@ -126,7 +128,7 @@ fn typed_panic_surfaces_and_pool_stays_usable() {
 fn unwinding_panic_carries_original_payload() {
     let pool = WorkerPool::new(4);
     let items: Vec<u32> = (0..32).collect();
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let caught = catch_unwind(AssertUnwindSafe(|| {
         pool.map_indexed(&items, 4, |_, &x| {
             if x == 5 {
                 panic!("original payload text");

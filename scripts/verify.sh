@@ -49,6 +49,14 @@ gate_time "build"
 cargo test -q --offline --workspace
 gate_time "test"
 
+# The benchmark (e2ebench/, its own workspace) calls the program's
+# public API and pins its own lock file. Building and testing it on
+# every change catches a removed call it makes, and --locked fails if a
+# workspace edit would rewrite e2ebench/Cargo.lock.
+cargo test -q --offline --locked --manifest-path e2ebench/Cargo.toml \
+  --target-dir target/e2ebench
+gate_time "e2ebench test"
+
 # Machine-readable perf trajectory: regenerate the bench reports in
 # quick mode and lint them against the schema in DESIGN.md with the
 # in-repo JSON parser. (cargo bench runs binaries with the package dir

@@ -1,11 +1,16 @@
 //! End-to-end integration tests spanning every crate: schema → pipeline →
 //! model → runtime → engine, exercising the lifecycle of paper Figure 1.
 
-use dbpal::core::{GenerationConfig, TrainOptions};
+use dbpal::benchsuite::PatientsBenchmark;
+use dbpal::core::{
+    GenerationConfig, Provenance, TrainOptions, TrainingCorpus, TrainingPair, TranslationModel,
+};
 use dbpal::engine::Database;
 use dbpal::model::{RetrievalModel, SketchModel};
+use dbpal::nlp::Lemmatizer;
 use dbpal::runtime::Nlidb;
 use dbpal::schema::{Schema, SchemaBuilder, SemanticDomain, SqlType, Value};
+use dbpal::util::{Rng, SliceRandom};
 
 fn hospital_schema() -> Schema {
     SchemaBuilder::new("hospital")
@@ -149,11 +154,10 @@ fn data_updates_need_no_retraining() {
         ],
     )
     .unwrap();
-    // Rebuild the NLIDB around the updated data; the value-index refresh
-    // makes the new constant anonymizable without retraining the model.
+    // Build the NLIDB around the updated data; its value index makes
+    // the new constant anonymizable without retraining the model.
     let mut nlidb = Nlidb::new(db2, SketchModel::new(vec![hospital_schema()]));
     nlidb.bootstrap(GenerationConfig::small(), &TrainOptions::fast());
-    nlidb.refresh_index();
     let resp = nlidb
         .answer("How many patients have malaria?")
         .expect("answerable");
@@ -175,6 +179,64 @@ fn pluggable_model_swap() {
     // data.
     let resp = nlidb.answer("show the name of all patients");
     assert!(resp.is_ok(), "retrieval model failed: {:?}", resp.err());
+}
+
+#[test]
+fn retrieval_answers_do_not_depend_on_earlier_queries() {
+    // A retrieval model that has answered every other query gives each
+    // query the answer a freshly trained model gives it as its first.
+    // Queries: the ParaphraseBench lemma lists (the even-numbered ones
+    // train the model) and seeded lists that mix their lemmas with a
+    // shared pool of words the corpus lacks.
+    let bench = PatientsBenchmark::new();
+    let lemmatizer = Lemmatizer::new();
+    let mut queries: Vec<Vec<String>> = bench
+        .queries()
+        .iter()
+        .map(|q| lemmatizer.lemmatize_sentence(&q.nl))
+        .collect();
+    let pairs = bench
+        .queries()
+        .iter()
+        .zip(&queries)
+        .step_by(2)
+        .map(|(q, lemmas)| {
+            let mut pair = TrainingPair::new(&q.nl, q.gold.clone(), "bench", Provenance::Manual);
+            pair.nl_lemmas = lemmas.clone();
+            pair
+        })
+        .collect();
+    let corpus = TrainingCorpus::from_pairs(pairs);
+    let known: Vec<String> = queries.iter().flatten().cloned().collect();
+    let novel: Vec<String> = (0..16).map(|i| format!("novel{i}")).collect();
+    let mut rng = Rng::seed_from_u64(0x4E7);
+    for _ in 0..64 {
+        let len = rng.gen_range(1usize..12);
+        let query = (0..len)
+            .map(|_| {
+                let pool = if rng.gen_bool(0.5) { &known } else { &novel };
+                pool.choose(&mut rng).unwrap().clone()
+            })
+            .collect();
+        queries.push(query);
+    }
+
+    let trained = || {
+        let mut model = RetrievalModel::new();
+        model.train(&corpus, &TrainOptions::default());
+        model
+    };
+    let warm = trained();
+    for query in &queries {
+        warm.translate(query);
+    }
+    for query in &queries {
+        assert_eq!(
+            warm.translate(query),
+            trained().translate(query),
+            "answer to {query:?} depends on earlier queries"
+        );
+    }
 }
 
 #[test]
