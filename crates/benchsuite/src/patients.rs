@@ -827,4 +827,45 @@ mod tests {
             assert_eq!(same, 0, "{cat:?} duplicates naive phrasings");
         }
     }
+
+    /// Pins the Seq2Seq model's floats on a deployment-shaped run, larger
+    /// than the model crate's tiny-corpus pin: the Patients bootstrap
+    /// corpus capped at 200 pairs gives a 57-token target vocabulary, so
+    /// the output layer runs its 16-, 8- and 1-row blocks, over 150
+    /// source tokens and ParaphraseBench's unknown words. Any change to
+    /// the order or the set of float operations in training or greedy
+    /// decoding moves these bits.
+    #[test]
+    fn seq2seq_training_on_a_capped_corpus_is_pinned() {
+        use dbpal_core::{GenerationConfig, TrainOptions, TrainingPipeline};
+        use dbpal_model::Seq2SeqModel;
+        use std::fmt::Write as _;
+
+        let bench = PatientsBenchmark::new();
+        let corpus = TrainingPipeline::new(GenerationConfig::small()).generate(bench.schema());
+        let mut model = Seq2SeqModel::with_defaults();
+        model.train(
+            &corpus,
+            &TrainOptions {
+                epochs: 2,
+                max_pairs: Some(200),
+                ..TrainOptions::default()
+            },
+        );
+        let loss_bits: Vec<u32> = model.epoch_losses.iter().map(|l| l.to_bits()).collect();
+        assert_eq!(loss_bits, [0x4010_8ccb, 0x3f90_d20a], "epoch losses moved");
+        let lemmatizer = Lemmatizer::new();
+        let mut digest = dbpal_util::Fnv1a::new();
+        for q in bench.queries() {
+            let _ = match model.translate(&lemmatizer.lemmatize_sentence(&q.nl)) {
+                Some(sql) => writeln!(digest, "{sql}"),
+                None => writeln!(digest, "-"),
+            };
+        }
+        let digest = digest.finish();
+        assert_eq!(
+            digest, 0xbe15_d883_584c_7d73,
+            "translations moved: {digest:#018x}"
+        );
+    }
 }

@@ -27,7 +27,6 @@ mod seq2seq;
 mod sketch;
 mod vocab;
 
-pub use gru::{GruCache, GruCell};
 pub use linker::SchemaLinker;
 pub use math::Param;
 pub use retrieval::RetrievalModel;

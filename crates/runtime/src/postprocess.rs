@@ -2,7 +2,7 @@
 //! repair (paper §4.2, §5.1).
 
 use crate::{Binding, RuntimeError};
-use dbpal_schema::{Schema, TableId, Value};
+use dbpal_schema::{JoinGraph, JoinPath, Schema, TableId, Value};
 use dbpal_sql::{CmpOp, ColumnRef, FromClause, Pred, Query, Scalar};
 
 /// The complete post-processor: binds constants, expands `@JOIN`, and
@@ -17,12 +17,17 @@ impl<'a> PostProcessor<'a> {
         PostProcessor { schema }
     }
 
-    /// Run all post-processing steps on a translated query.
+    /// Run all post-processing steps on a translated query: one copy
+    /// of it goes through the four steps, which build the schema's join
+    /// graph at most once between them.
     pub fn process(&self, query: &Query, bindings: &[Binding]) -> Result<Query, RuntimeError> {
-        let requalified = requalify_with_bindings(query, bindings, self.schema);
-        let bound = bind_constants(&requalified, bindings)?;
-        let expanded = expand_join_placeholder(&bound, self.schema)?;
-        repair_from_clause(&expanded, self.schema)
+        let mut q = query.clone();
+        let mut graph = None;
+        requalify(&mut q, bindings, self.schema);
+        bind(&mut q, bindings)?;
+        expand_join(&mut q, self.schema, &mut graph)?;
+        repair_from(&mut q, self.schema, &mut graph)?;
+        Ok(q)
     }
 }
 
@@ -32,6 +37,13 @@ impl<'a> PostProcessor<'a> {
 /// `doctors.name` is rewritten to `doctors.name = @NAME`. The subsequent
 /// FROM repair (§4.2) then pulls the owning table into the join.
 pub fn requalify_with_bindings(query: &Query, bindings: &[Binding], schema: &Schema) -> Query {
+    let mut q = query.clone();
+    requalify(&mut q, bindings, schema);
+    q
+}
+
+/// [`requalify_with_bindings`] in place.
+fn requalify(q: &mut Query, bindings: &[Binding], schema: &Schema) {
     fn fix_col(col: &mut ColumnRef, ph: &str, bindings: &[Binding], schema: &Schema) {
         if col.table.is_some() {
             return;
@@ -79,11 +91,9 @@ pub fn requalify_with_bindings(query: &Query, bindings: &[Binding], schema: &Sch
             _ => {}
         }
     }
-    let mut q = query.clone();
     if let Some(p) = &mut q.where_pred {
         walk(p, bindings, schema);
     }
-    q
 }
 
 /// Replace `@PLACEHOLDER` scalars with the captured constants.
@@ -94,10 +104,14 @@ pub fn requalify_with_bindings(query: &Query, bindings: &[Binding], schema: &Sch
 /// by position. LIKE patterns get `%` wildcards wrapped around text
 /// constants.
 pub fn bind_constants(query: &Query, bindings: &[Binding]) -> Result<Query, RuntimeError> {
-    let mut used = vec![false; bindings.len()];
     let mut q = query.clone();
-    bind_query(&mut q, bindings, &mut used)?;
+    bind(&mut q, bindings)?;
     Ok(q)
+}
+
+/// [`bind_constants`] in place.
+fn bind(q: &mut Query, bindings: &[Binding]) -> Result<(), RuntimeError> {
+    bind_query(q, bindings, &mut vec![false; bindings.len()])
 }
 
 fn lookup<'b>(
@@ -255,59 +269,56 @@ fn bind_pred(
 /// connected via the minimal join path, and the join conditions are
 /// appended to the WHERE clause.
 pub fn expand_join_placeholder(query: &Query, schema: &Schema) -> Result<Query, RuntimeError> {
-    if query.from != FromClause::JoinPlaceholder {
-        return Ok(query.clone());
+    let mut q = query.clone();
+    expand_join(&mut q, schema, &mut None)?;
+    Ok(q)
+}
+
+/// [`expand_join_placeholder`] in place, over a join graph built on
+/// first use.
+fn expand_join(
+    q: &mut Query,
+    schema: &Schema,
+    graph: &mut Option<JoinGraph>,
+) -> Result<(), RuntimeError> {
+    if q.from != FromClause::JoinPlaceholder {
+        return Ok(());
     }
     // Required tables: the same collection pass the static analyzer uses
     // for its join-connectivity check, so the runtime repairs exactly
     // what the analyzer gates on.
-    let required = dbpal_analyze::join_required_tables(query, schema);
+    let required = dbpal_analyze::join_required_tables(q, schema);
     if required.is_empty() {
         return Err(RuntimeError::JoinExpansionFailed(
             "no tables referenced by the query".into(),
         ));
     }
-    let graph = schema.join_graph();
     let path = graph
+        .get_or_insert_with(|| schema.join_graph())
         .connect(&required)
         .map_err(|e| RuntimeError::JoinExpansionFailed(e.to_string()))?;
-    let mut q = query.clone();
-    q.from = FromClause::Tables(
-        path.tables
-            .iter()
-            .map(|t| schema.table(*t).name().to_lowercase())
-            .collect(),
-    );
-    let mut preds: Vec<Pred> = path
-        .edges
-        .iter()
-        .map(|e| Pred::Compare {
-            left: Scalar::Column(ColumnRef::qualified(
-                schema.table(e.left.table).name(),
-                schema.column(e.left).name(),
-            )),
-            op: CmpOp::Eq,
-            right: Scalar::Column(ColumnRef::qualified(
-                schema.table(e.right.table).name(),
-                schema.column(e.right).name(),
-            )),
-        })
-        .collect();
-    if let Some(w) = q.where_pred.take() {
-        preds.push(w);
-    }
-    if !preds.is_empty() {
-        q.where_pred = Some(Pred::and(preds));
-    }
-    Ok(q)
+    join_along(q, &path, schema);
+    Ok(())
 }
 
 /// Repair FROM clauses where "the attributes used in the output SQL query
 /// and the table names do not match" (§4.2): missing owner tables are
 /// added via the shortest join path.
 pub fn repair_from_clause(query: &Query, schema: &Schema) -> Result<Query, RuntimeError> {
-    let FromClause::Tables(tables) = &query.from else {
-        return Ok(query.clone());
+    let mut q = query.clone();
+    repair_from(&mut q, schema, &mut None)?;
+    Ok(q)
+}
+
+/// [`repair_from_clause`] in place, over a join graph built on first
+/// use.
+fn repair_from(
+    q: &mut Query,
+    schema: &Schema,
+    graph: &mut Option<JoinGraph>,
+) -> Result<(), RuntimeError> {
+    let FromClause::Tables(tables) = &q.from else {
+        return Ok(());
     };
     let mut from_ids: Vec<TableId> = Vec::new();
     for t in tables {
@@ -320,16 +331,22 @@ pub fn repair_from_clause(query: &Query, schema: &Schema) -> Result<Query, Runti
     }
     // Tables required by column references but missing from FROM,
     // collected by the analyzer's shared connectivity pass.
-    let required = dbpal_analyze::from_required_tables(query, schema, &from_ids);
+    let required = dbpal_analyze::from_required_tables(q, schema, &from_ids);
     if required.len() == from_ids.len() {
-        return Ok(query.clone());
+        return Ok(());
     }
     // Connect everything with the minimal join path and rebuild FROM.
-    let graph = schema.join_graph();
     let path = graph
+        .get_or_insert_with(|| schema.join_graph())
         .connect(&required)
         .map_err(|e| RuntimeError::RepairFailed(e.to_string()))?;
-    let mut q = query.clone();
+    join_along(q, &path, schema);
+    Ok(())
+}
+
+/// Make `path`'s tables the FROM clause of `q` and put its join
+/// conditions in front of the WHERE clause.
+fn join_along(q: &mut Query, path: &JoinPath, schema: &Schema) {
     q.from = FromClause::Tables(
         path.tables
             .iter()
@@ -357,7 +374,6 @@ pub fn repair_from_clause(query: &Query, schema: &Schema) -> Result<Query, Runti
     if !preds.is_empty() {
         q.where_pred = Some(Pred::and(preds));
     }
-    Ok(q)
 }
 
 #[cfg(test)]

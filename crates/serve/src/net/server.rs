@@ -359,17 +359,17 @@ enum ReadOutcome {
 }
 
 /// Read one frame, waking every [`IDLE_TICK`] while idle so a drain can
-/// close the connection. Once a frame's first byte arrives, the rest is
-/// read under [`FRAME_GRACE`].
+/// close the connection. The header is asked for with one read; once a
+/// frame's first bytes arrive, the rest is read under [`FRAME_GRACE`].
 fn read_request<M: TranslationModel + Send + Sync>(
     inner: &Inner<M>,
     stream: &mut TcpStream,
 ) -> ReadOutcome {
-    let mut first = [0u8; 1];
-    loop {
-        match stream.read(&mut first) {
+    let mut header = [0u8; frame::HEADER_LEN];
+    let got = loop {
+        match stream.read(&mut header) {
             Ok(0) => return ReadOutcome::Eof,
-            Ok(_) => break,
+            Ok(n) => break n,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
@@ -380,15 +380,14 @@ fn read_request<M: TranslationModel + Send + Sync>(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return ReadOutcome::Broken,
         }
-    }
+    };
     let _ = stream.set_read_timeout(Some(FRAME_GRACE));
-    let mut rest = [0u8; frame::HEADER_LEN - 1];
-    if stream.read_exact(&mut rest).is_err() {
+    if stream
+        .read_exact(header.get_mut(got..).unwrap_or_default())
+        .is_err()
+    {
         return ReadOutcome::Broken;
     }
-    let [b0] = first;
-    let [b1, b2, b3] = rest;
-    let header = [b0, b1, b2, b3];
     let declared = frame::decode_len(header);
     let outcome = match frame::read_payload(stream, declared, inner.config.max_frame_len) {
         Ok(payload) => ReadOutcome::Frame(payload),

@@ -85,10 +85,13 @@ pub fn decode_len(header: [u8; HEADER_LEN]) -> usize {
     u32::from_be_bytes(header) as usize
 }
 
-/// Write one frame (header + payload) and flush.
+/// Write one frame (header + payload) with one `write_all` and flush,
+/// so an unbuffered socket sends the frame in one segment, not two.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&encode_len(payload.len()))?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&encode_len(payload.len()));
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -107,20 +110,18 @@ pub fn read_payload(r: &mut impl Read, declared: usize, max: usize) -> Result<Ve
 /// byte; `Truncated` if the stream ends anywhere after that.
 pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Option<Vec<u8>>, FrameError> {
     let mut header = [0u8; HEADER_LEN];
-    // The first byte decides between "peer hung up" and "truncated".
-    let mut first = [0u8; 1];
-    loop {
-        match r.read(&mut first) {
+    // One read for the header, which usually arrives whole. Reading
+    // nothing means the peer hung up; a header split across reads is
+    // finished under the "truncated" rule.
+    let got = loop {
+        match r.read(&mut header) {
             Ok(0) => return Ok(None),
-            Ok(_) => break,
+            Ok(n) => break n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(FrameError::Io(e)),
         }
-    }
-    let [first_byte] = first;
-    let [head, tail @ ..] = &mut header;
-    *head = first_byte;
-    read_fully(r, tail)?;
+    };
+    read_fully(r, header.get_mut(got..).unwrap_or_default())?;
     let declared = decode_len(header);
     read_payload(r, declared, max).map(Some)
 }
@@ -209,6 +210,78 @@ mod tests {
         }
         // Nothing past the header was consumed.
         assert_eq!(cur.position(), HEADER_LEN as u64);
+    }
+
+    /// A reader that hands out at most `step` bytes per read and counts
+    /// its reads.
+    struct Trickle {
+        data: Cursor<Vec<u8>>,
+        step: usize,
+        reads: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.step);
+            self.data.read(&mut buf[..n])
+        }
+    }
+
+    /// A counting writer: every `write` call and the bytes it took.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_its_header_one_read() {
+        let mut w = Writes::default();
+        write_frame(&mut w, b"hello").unwrap();
+        assert_eq!(w.0, [b"\0\0\0\x05hello".to_vec()]);
+
+        let mut r = Trickle {
+            data: Cursor::new(w.0.concat()),
+            step: usize::MAX,
+            reads: 0,
+        };
+        assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"hello");
+        assert_eq!(r.reads, 2, "one read for the header, one for the payload");
+    }
+
+    #[test]
+    fn a_header_split_across_reads_is_reassembled() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"split").unwrap();
+        write_frame(&mut wire, b"").unwrap();
+        for step in 1..=3 {
+            let mut r = Trickle {
+                data: Cursor::new(wire.clone()),
+                step,
+                reads: 0,
+            };
+            assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"split");
+            assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"");
+            assert!(read_frame(&mut r, 64).unwrap().is_none());
+        }
+        // A header cut short after a partial first read is truncated.
+        let mut r = Trickle {
+            data: Cursor::new(vec![0, 0, 0]),
+            step: 2,
+            reads: 0,
+        };
+        assert!(matches!(
+            read_frame(&mut r, 64),
+            Err(FrameError::Truncated { .. })
+        ));
     }
 
     #[test]
