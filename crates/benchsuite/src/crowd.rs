@@ -245,11 +245,12 @@ mod tests {
             .build()
             .unwrap();
         let config = GenerationConfig::small();
-        let mut g = Generator::new(&schema, &config);
+        let g = Generator::new(&schema, &config);
+        let mut rng = dbpal_util::Rng::seed_from_u64(config.seed);
         for tmpl in train_catalog().iter().chain(test_extra_catalog().iter()) {
             let mut ok = false;
             for _ in 0..12 {
-                if let Some((nl, sql)) = g.instantiate(tmpl) {
+                if let Some((nl, sql)) = g.instantiate_with(tmpl, &mut rng) {
                     assert!(!nl.contains('{'), "unfilled slot in {nl} ({})", tmpl.id);
                     assert!(dbpal_sql::parse_query(&sql.to_string()).is_ok());
                     ok = true;

@@ -10,6 +10,7 @@
 use crate::crowd;
 use dbpal_core::{EvalExample, GenerationConfig, Generator};
 use dbpal_schema::{Schema, SchemaBuilder, SemanticDomain, SqlType};
+use dbpal_util::Rng;
 use std::collections::HashSet;
 
 /// The GeoQuery-like tuning workload.
@@ -39,7 +40,8 @@ impl GeoQueryBench {
             seed: 0x6E0,
             ..GenerationConfig::default()
         };
-        let mut generator = Generator::new(&schema, &config);
+        let generator = Generator::new(&schema, &config);
+        let mut rng = Rng::seed_from_u64(config.seed);
         let mut examples = Vec::with_capacity(GEOQUERY_SIZE);
         let mut seen = HashSet::new();
         // Round-robin over templates until 280 distinct pairs exist.
@@ -50,7 +52,7 @@ impl GeoQueryBench {
                     break 'outer;
                 }
                 for _ in 0..4 {
-                    if let Some((nl, sql)) = generator.instantiate(tmpl) {
+                    if let Some((nl, sql)) = generator.instantiate_with(tmpl, &mut rng) {
                         if seen.insert(format!("{nl}\u{1}{sql}")) {
                             examples.push(EvalExample::new(nl, sql));
                             progressed = true;
@@ -149,11 +151,23 @@ mod tests {
 
     #[test]
     fn workload_is_deterministic() {
+        use std::fmt::Write;
         let a = GeoQueryBench::new();
         let b = GeoQueryBench::new();
         for (x, y) in a.examples().iter().zip(b.examples()) {
             assert_eq!(x.nl, y.nl);
         }
+        // The examples are pinned, not only reproducible: a change to
+        // how the generator draws moves this digest.
+        let mut digest = dbpal_util::Fnv1a::new();
+        for e in a.examples() {
+            let _ = writeln!(digest, "{}\u{1}{}", e.nl, e.gold);
+        }
+        let digest = digest.finish();
+        assert_eq!(
+            digest, 0x4a1e_8b41_e613_9a05,
+            "examples moved: {digest:#018x}"
+        );
     }
 
     #[test]

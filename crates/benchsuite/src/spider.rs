@@ -15,6 +15,7 @@ use dbpal_core::{
 use dbpal_nlp::Lemmatizer;
 use dbpal_schema::Schema;
 use dbpal_sql::{Query, QueryPattern};
+use dbpal_util::Rng;
 use std::collections::HashSet;
 
 /// Spider-benchmark generation parameters.
@@ -188,7 +189,8 @@ fn instantiate_catalog(
         seed,
         ..GenerationConfig::default()
     };
-    let mut generator = Generator::new(schema, &config);
+    let generator = Generator::new(schema, &config);
+    let mut rng = Rng::seed_from_u64(config.seed);
     let mut out = Vec::new();
     let mut seen = HashSet::new();
     for tmpl in templates {
@@ -196,7 +198,7 @@ fn instantiate_catalog(
         let mut attempts = instances * 6 + 6;
         while produced < instances && attempts > 0 {
             attempts -= 1;
-            let Some((nl, sql)) = generator.instantiate(tmpl) else {
+            let Some((nl, sql)) = generator.instantiate_with(tmpl, &mut rng) else {
                 continue;
             };
             if seen.insert(format!("{nl}\u{1}{sql}")) {
@@ -257,6 +259,7 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
+        use std::fmt::Write;
         let a = SpiderBench::generate(&SpiderConfig::quick());
         let b = SpiderBench::generate(&SpiderConfig::quick());
         assert_eq!(a.test_examples.len(), b.test_examples.len());
@@ -264,6 +267,30 @@ mod tests {
             assert_eq!(x.nl, y.nl);
             assert_eq!(x.gold, y.gold);
         }
+        // The test examples and the crowd training pairs are pinned, not
+        // only reproducible: a change to how the generator draws moves
+        // these digests.
+        let mut examples = dbpal_util::Fnv1a::new();
+        for e in &a.test_examples {
+            let _ = writeln!(examples, "{}\u{1}{}\u{1}{}", e.schema_idx, e.nl, e.gold);
+        }
+        let mut train = dbpal_util::Fnv1a::new();
+        for p in a.train_pairs.pairs() {
+            let lemmas = p.nl_lemmas.join(" ");
+            let _ = writeln!(
+                train,
+                "{}\u{1}{}\u{1}{}\u{1}{lemmas}",
+                p.nl, p.sql, p.template_id
+            );
+        }
+        let digests = (examples.finish(), train.finish());
+        assert_eq!(
+            digests,
+            (0xde90_8a2b_6350_7489, 0x4326_296f_4e18_80bd),
+            "examples or train pairs moved: ({:#018x}, {:#018x})",
+            digests.0,
+            digests.1
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::{GenerationConfig, Provenance, TrainingCorpus, TrainingPair};
 use dbpal_nlp::{tokenize, ComparativeDictionary, ComparativeSense, ParaphraseStore, PosTagger};
 use dbpal_schema::{Schema, SemanticDomain};
 use dbpal_sql::{CmpOp, Pred, Scalar};
-use dbpal_util::{Rng, SliceRandom};
+use dbpal_util::{Rng, SliceRandom, WorkerPool};
 use std::sync::Arc;
 
 /// The augmentation engine. Produces additional pairs from a seed corpus;
@@ -41,8 +41,8 @@ impl<'a> Augmenter<'a> {
     pub fn augment(&self, corpus: &TrainingCorpus) -> Vec<TrainingPair> {
         const CHUNK: usize = 32;
         let chunks: Vec<&[TrainingPair]> = corpus.pairs().chunks(CHUNK).collect();
-        let par = &self.config.par;
-        let shards = par.map_indexed(&chunks, self.config.effective_threads(), |ci, chunk| {
+        let threads = self.config.effective_threads();
+        let shards = WorkerPool::global().map_indexed(&chunks, threads, |ci, chunk| {
             let mut additions = Vec::new();
             for (j, pair) in chunk.iter().enumerate() {
                 let mut rng =

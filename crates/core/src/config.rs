@@ -66,10 +66,10 @@ pub struct GenerationConfig {
     /// own [`dbpal_util::stream_seed`]-derived stream and shards merge
     /// in input order — so `threads` only changes wall-clock time.
     pub threads: usize,
-    /// How the parallel stages execute: the process-wide persistent
-    /// [`WorkerPool`](dbpal_util::WorkerPool) by default, a pinned
-    /// pool, or scoped spawn-per-call. Like `threads`, never changes
-    /// the corpus bytes.
+    /// Read by no workspace code: every stage fans out on
+    /// [`WorkerPool::global`](dbpal_util::WorkerPool::global). The
+    /// zero-sized field stays for the `corpus_stream` benchmark's replay
+    /// (see [`ParStrategy`]).
     pub par: ParStrategy,
 }
 
@@ -92,7 +92,7 @@ impl Default for GenerationConfig {
             analyzer_policy: AnalyzerPolicy::default(),
             seed: 0x0DBA1,
             threads: 0,
-            par: ParStrategy::default(),
+            par: ParStrategy,
         }
     }
 }
@@ -122,7 +122,7 @@ impl GenerationConfig {
             // Not a generation parameter: threads never changes the
             // corpus, so the search space excludes it.
             threads: 0,
-            par: ParStrategy::default(),
+            par: ParStrategy,
         }
     }
 

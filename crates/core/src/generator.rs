@@ -15,7 +15,7 @@ use dbpal_sql::{
     AggArg, AggFunc, CmpOp, ColumnRef, FromClause, OrderDir, OrderKey, Pred, Query, Scalar,
     SelectItem,
 };
-use dbpal_util::{Rng, SliceRandom};
+use dbpal_util::{Rng, SliceRandom, WorkerPool};
 use std::collections::{HashMap, HashSet};
 
 /// The template-instantiation engine.
@@ -23,7 +23,6 @@ pub struct Generator<'a> {
     schema: &'a Schema,
     config: &'a GenerationConfig,
     comparatives: ComparativeDictionary,
-    rng: Rng,
 }
 
 /// Instantiation counters for one generation run (surfaced through
@@ -81,7 +80,6 @@ impl<'a> Generator<'a> {
             schema,
             config,
             comparatives: ComparativeDictionary::new(),
-            rng: Rng::seed_from_u64(config.seed),
         }
     }
 
@@ -107,9 +105,7 @@ impl<'a> Generator<'a> {
         templates: &[SeedTemplate],
     ) -> (TrainingCorpus, GeneratorStats) {
         let threads = self.config.effective_threads();
-        let shards = self
-            .config
-            .par
+        let shards = WorkerPool::global()
             .map_indexed(templates, threads, |i, t| self.generate_template(i, t));
         let mut corpus = TrainingCorpus::new();
         let mut stats = GeneratorStats::default();
@@ -188,18 +184,9 @@ impl<'a> Generator<'a> {
         (pairs, stats)
     }
 
-    /// Instantiate one template; `None` when the schema lacks the
-    /// required structure (e.g. no numeric column for an aggregate).
-    /// Draws from the generator's own sequential stream.
-    pub fn instantiate(&mut self, template: &SeedTemplate) -> Option<(String, Query)> {
-        let mut rng = self.rng.clone();
-        let out = self.instantiate_with(template, &mut rng);
-        self.rng = rng;
-        out
-    }
-
-    /// As [`Generator::instantiate`], drawing randomness from `rng` —
-    /// the re-entrant form the parallel pipeline uses.
+    /// Instantiate one template, drawing randomness from `rng`; `None`
+    /// when the schema lacks the required structure (e.g. no numeric
+    /// column for an aggregate).
     pub fn instantiate_with(
         &self,
         template: &SeedTemplate,

@@ -31,7 +31,7 @@ use crate::{
 use dbpal_analyze::{Analyzer, AnalyzerPolicy, Diagnostic};
 use dbpal_nlp::Lemmatizer;
 use dbpal_schema::Schema;
-use dbpal_util::{stream_seed, MetricsRegistry, ParStrategy};
+use dbpal_util::{stream_seed, MetricsRegistry, WorkerPool};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -108,40 +108,26 @@ impl AnalyzerReport {
     }
 }
 
+/// The weight of one error-severity diagnostic in a pair's
+/// [`analyze_pairs`] cleanliness score; warnings count 1.
+pub const SCORE_ERROR_WEIGHT: u32 = 1000;
+
 /// Analyze a batch of pairs against a schema, applying `policy`.
 ///
 /// Returns the surviving pairs (all of them unless the policy is
-/// [`AnalyzerPolicy::Reject`]) and the stage's [`AnalyzerReport`].
-/// Analysis fans out across `threads` workers in fixed-size chunks and
-/// the verdicts merge back in input order, so the surviving-pair sequence
-/// and every report counter are identical at any thread count.
+/// [`AnalyzerPolicy::Reject`]) and the stage's [`AnalyzerReport`]. Each
+/// survivor carries its *cleanliness score*: `SCORE_ERROR_WEIGHT` per
+/// error-severity diagnostic plus one per warning, so `0` means
+/// analyzer-clean and lower is cleaner. The dedup index uses the score
+/// to pick a winner when two pairs share an NL side but disagree on the
+/// SQL. Analysis fans out across `threads` workers in fixed-size chunks
+/// and the verdicts merge back in input order, so the surviving-pair
+/// sequence and every report counter are identical at any thread count.
 pub fn analyze_pairs(
     schema: &Schema,
     pairs: Vec<TrainingPair>,
     threads: usize,
     policy: AnalyzerPolicy,
-) -> (Vec<TrainingPair>, AnalyzerReport) {
-    let (scored, report) =
-        analyze_pairs_scored_with(schema, pairs, threads, policy, &ParStrategy::default());
-    (scored.into_iter().map(|(p, _)| p).collect(), report)
-}
-
-/// The weight of one error-severity diagnostic in a pair's
-/// [`analyze_pairs_scored_with`] cleanliness score; warnings count 1.
-pub const SCORE_ERROR_WEIGHT: u32 = 1000;
-
-/// As [`analyze_pairs`] under an explicit execution strategy,
-/// additionally tagging every surviving pair with its *cleanliness
-/// score*: `SCORE_ERROR_WEIGHT` per error-severity diagnostic plus one
-/// per warning, so `0` means analyzer-clean and lower is cleaner. The
-/// dedup index uses the score to pick a winner when two pairs share an
-/// NL side but disagree on the SQL.
-pub fn analyze_pairs_scored_with(
-    schema: &Schema,
-    pairs: Vec<TrainingPair>,
-    threads: usize,
-    policy: AnalyzerPolicy,
-    par: &ParStrategy,
 ) -> (Vec<(TrainingPair, u32)>, AnalyzerReport) {
     if policy == AnalyzerPolicy::Off {
         return (
@@ -156,7 +142,7 @@ pub fn analyze_pairs_scored_with(
     const CHUNK: usize = 64;
     let verdicts: Vec<Vec<Vec<Diagnostic>>> = {
         let chunks: Vec<&[TrainingPair]> = pairs.chunks(CHUNK).collect();
-        par.map_indexed(&chunks, threads, |_, chunk| {
+        WorkerPool::global().map_indexed(&chunks, threads, |_, chunk| {
             // A verdict depends only on the query, so a run of pairs
             // that share one is analyzed once.
             let mut memo = QueryMemo::new();
@@ -488,7 +474,7 @@ impl TrainingPipeline {
     }
 
     /// Run the five pipeline stages once over one schema, admitting the
-    /// analyzer-scored pairs (see [`analyze_pairs_scored_with`])
+    /// analyzer-scored pairs (see [`analyze_pairs`])
     /// through `dedup` as the last stage. Returns what the index let
     /// through and the round's report. This is the unit of work the
     /// streaming driver repeats per round, with one index for the run.
@@ -527,7 +513,7 @@ impl TrainingPipeline {
         const CHUNK: usize = 64;
         let lemmas: Vec<Vec<Vec<String>>> = {
             let chunks: Vec<&[TrainingPair]> = pairs.chunks(CHUNK).collect();
-            self.config.par.map_indexed(&chunks, threads, |_, chunk| {
+            WorkerPool::global().map_indexed(&chunks, threads, |_, chunk| {
                 chunk
                     .iter()
                     .map(|p| lemmatizer.lemmatize_sentence(&p.nl))
@@ -546,13 +532,8 @@ impl TrainingPipeline {
         // with per-code and per-provenance accounting. The survivors
         // keep their cleanliness scores for the dedup index.
         let stage = Instant::now();
-        let (scored, analyzer_report) = analyze_pairs_scored_with(
-            schema,
-            pairs,
-            threads,
-            self.config.analyzer_policy,
-            &self.config.par,
-        );
+        let (scored, analyzer_report) =
+            analyze_pairs(schema, pairs, threads, self.config.analyzer_policy);
         let analyze_time = stage.elapsed();
 
         // Step 5: dedup. The index drops this round's repeats and

@@ -1012,8 +1012,7 @@ mod tests {
             .collect();
         let schema = schema();
         let analyze = |pairs: &[TrainingPair], policy| {
-            let par = dbpal_util::ParStrategy::default();
-            crate::pipeline::analyze_pairs_scored_with(&schema, pairs.to_vec(), 2, policy, &par)
+            crate::pipeline::analyze_pairs(&schema, pairs.to_vec(), 2, policy)
         };
         for policy in [
             dbpal_analyze::AnalyzerPolicy::Warn,

@@ -29,7 +29,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         code: "L002",
         name: "SPAWN",
-        summary: "raw thread::spawn / thread::scope outside the par_map_indexed fan-out",
+        summary: "raw thread::spawn / thread::scope outside the worker pool",
     },
     Rule {
         code: "L003",
@@ -209,10 +209,7 @@ pub fn analyze(path: &str, ctx: &FileContext) -> Vec<Finding> {
                     push(
                         &mut out,
                         "L002",
-                        format!(
-                            "raw `thread::{}` outside the par_map_indexed fan-out",
-                            n.text
-                        ),
+                        format!("raw `thread::{}` outside the worker pool", n.text),
                     );
                 }
             }

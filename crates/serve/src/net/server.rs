@@ -61,13 +61,19 @@ use dbpal_util::LogEvent;
 use crate::net::protocol::{ErrorKind, QueryOutcome, Request, Response};
 use crate::QueryService;
 
-/// How often an idle connection's read loop wakes to check for drain.
-const IDLE_TICK: Duration = Duration::from_millis(50);
+/// A connection's one read timeout: how often an idle connection's
+/// read loop wakes to check for drain.
+pub const IDLE_TICK: Duration = Duration::from_millis(50);
 
-/// Read timeout while inside a frame (header started): a peer that
-/// stalls longer mid-frame is treated as broken, which also bounds
-/// slow-loris style half-frames.
-const FRAME_GRACE: Duration = Duration::from_secs(2);
+/// How long a peer may stall inside a frame (header started) before it
+/// is treated as broken, which also bounds slow-loris style
+/// half-frames. Counted in [`IDLE_TICK`]s, so the socket keeps its one
+/// timeout.
+pub const FRAME_GRACE: Duration = Duration::from_secs(2);
+
+/// [`FRAME_GRACE`] in idle ticks: read timeouts in a row, with no byte
+/// arriving, that end a started frame.
+const GRACE_TICKS: u32 = (FRAME_GRACE.as_millis() / IDLE_TICK.as_millis()) as u32;
 
 /// Network server tuning knobs.
 #[derive(Debug, Clone)]
@@ -358,9 +364,35 @@ enum ReadOutcome {
     Broken,
 }
 
+/// Whether a read error is the socket's [`IDLE_TICK`] timeout.
+fn is_tick(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// The rest of a started frame, read on the connection's [`IDLE_TICK`]
+/// timeout: each read waits out up to [`GRACE_TICKS`] timeouts in a
+/// row, so bytes already read are kept and only a peer that sends
+/// nothing for [`FRAME_GRACE`] fails the read.
+struct WithinGrace<'a>(&'a mut TcpStream);
+
+impl Read for WithinGrace<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let mut ticks = 1;
+        loop {
+            match self.0.read(buf) {
+                Err(e) if is_tick(&e) && ticks < GRACE_TICKS => ticks += 1,
+                other => return other,
+            }
+        }
+    }
+}
+
 /// Read one frame, waking every [`IDLE_TICK`] while idle so a drain can
 /// close the connection. The header is asked for with one read; once a
-/// frame's first bytes arrive, the rest is read under [`FRAME_GRACE`].
+/// frame's first bytes arrive, the rest is read [`WithinGrace`].
 fn read_request<M: TranslationModel + Send + Sync>(
     inner: &Inner<M>,
     stream: &mut TcpStream,
@@ -370,9 +402,7 @@ fn read_request<M: TranslationModel + Send + Sync>(
         match stream.read(&mut header) {
             Ok(0) => return ReadOutcome::Eof,
             Ok(n) => break n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
+            Err(e) if is_tick(&e) => {
                 if inner.draining() {
                     return ReadOutcome::DrainingIdle;
                 }
@@ -381,21 +411,19 @@ fn read_request<M: TranslationModel + Send + Sync>(
             Err(_) => return ReadOutcome::Broken,
         }
     };
-    let _ = stream.set_read_timeout(Some(FRAME_GRACE));
-    if stream
+    let mut rest = WithinGrace(stream);
+    if rest
         .read_exact(header.get_mut(got..).unwrap_or_default())
         .is_err()
     {
         return ReadOutcome::Broken;
     }
     let declared = frame::decode_len(header);
-    let outcome = match frame::read_payload(stream, declared, inner.config.max_frame_len) {
+    match frame::read_payload(&mut rest, declared, inner.config.max_frame_len) {
         Ok(payload) => ReadOutcome::Frame(payload),
         Err(FrameError::TooLarge { declared, .. }) => ReadOutcome::Oversized { declared },
         Err(_) => ReadOutcome::Broken,
-    };
-    let _ = stream.set_read_timeout(Some(IDLE_TICK));
-    outcome
+    }
 }
 
 /// Discard up to `declared` unread payload bytes after an oversized

@@ -2,12 +2,14 @@
 //! turn every malformed, truncated, oversized, or empty input into a
 //! typed error — never a panic, never a wedged accept loop.
 
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use dbpal_runtime::Nlidb;
+use dbpal_serve::net::server::{FRAME_GRACE, IDLE_TICK};
 use dbpal_serve::net::{
-    serve, Client, ClientError, ErrorKind, QueryOutcome, Response, ServerConfig,
+    serve, Client, ClientError, ErrorKind, QueryOutcome, Request, Response, ServerConfig,
 };
 use dbpal_serve::testing::{hospital_db, hospital_script, tenant_registry, ScriptedModel};
 use dbpal_serve::{QueryService, ServeConfig, TenantRegistry};
@@ -162,6 +164,67 @@ fn truncated_frames_never_wedge_the_server() {
     assert_still_serving(&mut fresh);
     drop(fresh);
     drop(c3);
+    handle.shutdown();
+}
+
+#[test]
+fn a_frame_paused_for_a_few_ticks_is_still_answered() {
+    let handle = default_server();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let payload = Request::Query {
+        tenant: None,
+        questions: vec![GOOD_QUESTION.to_string()],
+    }
+    .to_bytes();
+    let (head, tail) = payload.split_at(payload.len() / 2);
+    client
+        .send_unframed(&frame::encode_len(payload.len()))
+        .expect("header");
+    std::thread::sleep(IDLE_TICK * 3);
+    client.send_unframed(head).expect("first half");
+    std::thread::sleep(IDLE_TICK * 3);
+    client.send_unframed(tail).expect("second half");
+    match client.read_response().expect("answer") {
+        Response::Results(outcomes) => assert_answer_is_ann(&outcomes[0]),
+        other => panic!("expected results, got {other:?}"),
+    }
+    assert_still_serving(&mut client);
+    drop(client);
+    handle.shutdown();
+}
+
+#[test]
+fn a_frame_stalled_past_its_grace_is_closed() {
+    // The server counts its grace in idle ticks, and a read timeout
+    // lasts IDLE_TICK plus the kernel's timer slack, so the client
+    // measures the wait in ticks of its own.
+    let handle = default_server();
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(IDLE_TICK))
+        .expect("read timeout");
+    stream.write_all(&frame::encode_len(50)).expect("header");
+    let grace_ticks = FRAME_GRACE.as_millis() / IDLE_TICK.as_millis();
+    let mut ticks = 0;
+    loop {
+        match stream.read(&mut [0u8; 64]) {
+            Ok(0) => break,
+            Ok(n) => panic!("a stalled frame got {n} bytes back"),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                ticks += 1;
+            }
+            Err(e) => panic!("the connection failed instead of closing: {e}"),
+        }
+        assert!(
+            ticks <= grace_ticks + 1,
+            "a stalled frame held its connection past {ticks} ticks"
+        );
+    }
     handle.shutdown();
 }
 

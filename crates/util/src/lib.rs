@@ -14,8 +14,7 @@
 //! | [`json`] | `serde`/`serde_json` | [`Json`] value model, parser, serializer |
 //! | [`check`] | `proptest` | seeded [`forall!`] property runner |
 //! | [`bench`] | `criterion` | warmup + median-of-N wall-clock harness |
-//! | [`par`] | `rayon` | order-preserving scoped-pool map ([`par_map_indexed`]) |
-//! | [`pool`] | `rayon` thread pool | persistent [`WorkerPool`], [`ParStrategy`] fan-out handle |
+//! | [`pool`] | `rayon` | persistent [`WorkerPool`], the one order-preserving fan-out |
 //! | [`intern`] | `string-interner` | [`Vocab`] string table with `u32` [`Sym`] ids |
 //! | [`metrics`] | `prometheus`/`metrics` | counters, latency histograms, span timers, [`MetricsRegistry`] |
 //! | [`frame`] | `tokio-util` codecs | length-delimited framing over byte streams |
@@ -36,7 +35,6 @@ pub mod json;
 pub mod log;
 pub mod mem;
 pub mod metrics;
-pub mod par;
 pub mod pool;
 pub mod rng;
 
@@ -47,6 +45,5 @@ pub use json::{Json, JsonError};
 pub use log::LogEvent;
 pub use mem::resident_bytes;
 pub use metrics::{Counter, Histogram, MetricsRegistry};
-pub use par::{auto_threads, par_map_indexed};
-pub use pool::{ParStrategy, WorkerPool};
+pub use pool::{auto_threads, ParStrategy, WorkerPool};
 pub use rng::{stream_seed, Rng, SliceRandom};

@@ -523,7 +523,7 @@ mod tests {
     fn concurrent_recording_totals_exactly() {
         let reg = MetricsRegistry::new();
         let idxs: Vec<u64> = (0..64).collect();
-        crate::par_map_indexed(&idxs, 8, |_, _| {
+        crate::WorkerPool::new(8).map_indexed(&idxs, 8, |_, _| {
             reg.counter("hits").inc();
             reg.histogram("lat").record(Duration::from_micros(2));
         });
@@ -533,10 +533,11 @@ mod tests {
 
     #[test]
     fn deterministic_export_thread_invariant() {
+        let pool = crate::WorkerPool::new(8);
         let run = |threads: usize| {
             let reg = MetricsRegistry::new();
             let idxs: Vec<u64> = (0..40).collect();
-            crate::par_map_indexed(&idxs, threads, |i, _| {
+            pool.map_indexed(&idxs, threads, |i, _| {
                 reg.counter(if i % 2 == 0 { "even" } else { "odd" }).inc();
                 reg.histogram("work").record(Duration::from_nanos(i as u64));
             });

@@ -1,36 +1,37 @@
-//! A persistent worker pool for the workspace's fan-outs.
+//! The workspace's one fan-out: a persistent worker pool.
 //!
-//! [`par_map_indexed`](crate::par_map_indexed) spawns and joins a fresh
-//! set of scoped threads on every call. That is correct and simple, but
-//! on the corpus pipeline's hot paths the spawn/join cost is paid per
-//! *stage per round*, and for small rounds it dominates the work
-//! itself. (The serving path fans out over nothing: each request runs
-//! on its connection's thread.) [`WorkerPool`] moves that cost to
-//! process start: helper threads are spawned once and parked on a
-//! condvar; each [`WorkerPool::map_indexed`] call installs one job,
-//! lets the caller participate alongside the helpers, and returns when
-//! every slot is filled.
+//! Helper threads are spawned once and parked on a condvar; each
+//! [`WorkerPool::map_indexed`] call installs one job, lets the caller
+//! participate alongside the helpers, and returns when every slot is
+//! filled. Results come back in input order and workers pull items off
+//! a shared atomic cursor, so uneven per-item cost balances and the
+//! thread count changes only wall-clock time, never output bytes.
+//! Combined with per-item RNG re-keying ([`crate::rng::stream_seed`])
+//! this makes every parallel pipeline stage a pure function of its
+//! inputs.
 //!
-//! The contract is identical to `par_map_indexed`: results come back in
-//! input order, workers pull items off a shared atomic cursor, and the
-//! thread count changes only wall-clock time, never output bytes. After
-//! start-up the pool spawns nothing: a call that finds the pool busy
-//! (another caller's job, or a call nested inside a pool worker) runs
-//! inline on its caller, so concurrent and nested callers never queue,
-//! deadlock, or grow the thread count.
+//! After start-up the pool spawns nothing: a call that finds the pool
+//! busy (another caller's job, or a call nested inside a pool worker)
+//! runs inline on its caller, so concurrent and nested callers never
+//! queue, deadlock, or grow the thread count. (The serving path fans
+//! out over nothing: each request runs on its connection's thread.)
 //!
 //! Panic containment: a panic inside the mapped closure is caught, the
 //! job is cancelled, and the pool's helper threads survive. The panic
-//! is re-raised with its original payload by [`WorkerPool::map_indexed`],
-//! matching the scoped path's behavior.
+//! is re-raised with its original payload by [`WorkerPool::map_indexed`].
 
 use std::any::Any;
-use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
-use crate::par::{auto_threads, par_map_indexed};
+/// The number of worker threads to use for `threads = 0` ("auto"):
+/// everything the OS will give us.
+pub fn auto_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
 
 /// One installed fan-out. The closure reference is lifetime-erased; see
 /// the safety argument in `WorkerPool::run` for why it is never
@@ -213,10 +214,12 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Pool-backed equivalent of [`par_map_indexed`]: map `f` over
-    /// `items` with up to `threads` workers, returning results in input
-    /// order. Panics (with the original payload) if `f` panics, exactly
-    /// like the scoped path; the pool survives either way.
+    /// Map `f` over `items` with up to `threads` workers, returning
+    /// results in input order. `f` receives `(index, &item)` so callers
+    /// can key per-item randomness off the stable input position.
+    /// `threads` is clamped to `[1, items.len()]`, and one thread (or a
+    /// trivial list) runs inline on the caller. Panics with the original
+    /// payload if `f` panics; the pool survives either way.
     pub fn map_indexed<T, R, F>(&self, items: &[T], threads: usize, f: F) -> Vec<R>
     where
         T: Sync,
@@ -359,57 +362,23 @@ impl<R> SlotWriter<R> {
 // slot requires.
 unsafe impl<R: Send> Sync for SlotWriter<R> {}
 
-/// How a pipeline or service executes its fan-outs. Defaults to the
-/// process-wide persistent pool; `Scoped` restores the PR-2 era
-/// spawn-per-call behavior, and `Pool` pins a caller-owned pool (used by
-/// tests to exercise specific pool sizes).
-#[derive(Clone, Default)]
-pub enum ParStrategy {
-    /// Use [`WorkerPool::global`].
-    #[default]
-    GlobalPool,
-    /// Use a specific shared pool.
-    Pool(Arc<WorkerPool>),
-    /// Spawn scoped threads per call ([`par_map_indexed`]).
-    Scoped,
-}
+/// The handle `GenerationConfig.par` holds: zero-sized, and its
+/// [`map_indexed`](ParStrategy::map_indexed) is
+/// [`WorkerPool::global`]'s. No workspace code reads it; it stays only
+/// because the `corpus_stream` benchmark's replay calls
+/// `cfg.par.map_indexed`, and goes with that benchmark's next change.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ParStrategy;
 
 impl ParStrategy {
-    /// Run one fan-out under this strategy. All strategies share the
-    /// `par_map_indexed` contract: input order preserved, output bytes
-    /// independent of `threads`.
+    /// [`WorkerPool::map_indexed`] on the global pool.
     pub fn map_indexed<T, R, F>(&self, items: &[T], threads: usize, f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        match self {
-            ParStrategy::GlobalPool => WorkerPool::global().map_indexed(items, threads, f),
-            ParStrategy::Pool(pool) => pool.map_indexed(items, threads, f),
-            ParStrategy::Scoped => par_map_indexed(items, threads, f),
-        }
-    }
-}
-
-impl fmt::Debug for ParStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ParStrategy::GlobalPool => write!(f, "GlobalPool"),
-            ParStrategy::Pool(p) => write!(f, "Pool(threads={})", p.threads()),
-            ParStrategy::Scoped => write!(f, "Scoped"),
-        }
-    }
-}
-
-impl PartialEq for ParStrategy {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (ParStrategy::GlobalPool, ParStrategy::GlobalPool) => true,
-            (ParStrategy::Scoped, ParStrategy::Scoped) => true,
-            (ParStrategy::Pool(a), ParStrategy::Pool(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
+        WorkerPool::global().map_indexed(items, threads, f)
     }
 }
 
@@ -418,13 +387,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matches_scoped_results() {
+    fn matches_sequential_results() {
         let pool = WorkerPool::new(4);
         let items: Vec<u64> = (0..100).collect();
-        for threads in [1, 2, 4, 9] {
-            let pooled = pool.map_indexed(&items, threads, |i, &x| i as u64 + x * 3);
-            let scoped = par_map_indexed(&items, threads, |i, &x| i as u64 + x * 3);
-            assert_eq!(pooled, scoped);
+        let f = |i: usize, x: &u64| i as u64 + x * 3;
+        let expect: Vec<u64> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+        for threads in [1, 2, 4, 9, 999] {
+            assert_eq!(pool.map_indexed(&items, threads, f), expect);
         }
     }
 
@@ -461,12 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn strategy_equality_and_debug() {
-        let a = ParStrategy::GlobalPool;
-        assert_eq!(a, ParStrategy::default());
-        assert_ne!(ParStrategy::Scoped, ParStrategy::GlobalPool);
-        let p = Arc::new(WorkerPool::new(2));
-        assert_eq!(ParStrategy::Pool(Arc::clone(&p)), ParStrategy::Pool(p));
-        assert_eq!(format!("{:?}", ParStrategy::Scoped), "Scoped");
+    fn auto_threads_is_positive() {
+        assert!(auto_threads() >= 1);
     }
 }

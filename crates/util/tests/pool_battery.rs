@@ -1,15 +1,16 @@
 //! Property battery for the persistent [`WorkerPool`]: the pool must be
-//! observationally identical to the scoped-spawn path at every thread
-//! count, stay reusable across calls, and contain panics without
-//! poisoning itself. Seeded `forall!` cases (honoring
-//! `DBPAL_CHECK_CASES`) drive randomized shapes; the fixed tables pin
-//! the degenerate ones.
+//! observationally identical to a sequential map at every thread count,
+//! spawn nothing after start-up, stay reusable across calls, and
+//! contain panics without poisoning itself. Seeded `forall!` cases
+//! (honoring `DBPAL_CHECK_CASES`) drive randomized shapes; the fixed
+//! tables pin the degenerate ones.
 
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use dbpal_util::{forall, par_map_indexed, ParStrategy, WorkerPool};
+use dbpal_util::{forall, WorkerPool};
 
 /// A mapping whose output encodes both the item and its index, so any
 /// reordering or slot mixup changes the bytes.
@@ -18,37 +19,37 @@ fn tag(i: usize, x: u64) -> u64 {
 }
 
 #[test]
-fn pool_matches_scoped_on_random_shapes() {
+fn pool_matches_sequential_on_random_shapes() {
     let pool = WorkerPool::new(8);
     forall!(|rng| {
         let len = rng.gen_range(0usize..200);
         let items: Vec<u64> = (0..len).map(|_| rng.gen_range(0u64..1 << 20)).collect();
+        let expect: Vec<u64> = items.iter().enumerate().map(|(i, &x)| tag(i, x)).collect();
         for threads in [1usize, 2, 8] {
             let pooled = pool.map_indexed(&items, threads, |i, &x| tag(i, x));
-            let scoped = par_map_indexed(&items, threads, |i, &x| tag(i, x));
-            assert_eq!(pooled, scoped, "len {len}, threads {threads}");
+            assert_eq!(pooled, expect, "len {len}, threads {threads}");
         }
     });
 }
 
 #[test]
-fn strategies_agree_on_random_shapes() {
-    let pool = Arc::new(WorkerPool::new(4));
-    let strategies = [
-        ParStrategy::GlobalPool,
-        ParStrategy::Pool(Arc::clone(&pool)),
-        ParStrategy::Scoped,
-    ];
-    forall!(cases = 16, |rng| {
-        let len = rng.gen_range(0usize..64);
-        let items: Vec<u64> = (0..len).map(|_| rng.gen_range(0u64..1000)).collect();
-        let threads = rng.gen_range(1usize..9);
-        let expect: Vec<u64> = items.iter().enumerate().map(|(i, &x)| tag(i, x)).collect();
-        for strategy in &strategies {
-            let got = strategy.map_indexed(&items, threads, |i, &x| tag(i, x));
-            assert_eq!(got, expect, "strategy {strategy:?}, threads {threads}");
-        }
-    });
+fn spawns_no_thread_after_start_up() {
+    // Every item of every call runs on the caller or on one of the
+    // helpers spawned by `new`; a fan-out that spawned per call would
+    // show a fresh thread id each time.
+    let pool = WorkerPool::new(4);
+    let mut seen = HashSet::new();
+    for round in 0..200usize {
+        let items: Vec<usize> = (0..(round * 37) % 150 + 2).collect();
+        let threads = [2, 4, 8, 3][round % 4];
+        seen.extend(pool.map_indexed(&items, threads, |_, _| std::thread::current().id()));
+    }
+    assert!(
+        seen.len() <= pool.threads(),
+        "{} threads ran items on a {}-thread pool",
+        seen.len(),
+        pool.threads()
+    );
 }
 
 #[test]

@@ -160,50 +160,6 @@ fn golden_corpus_bytes_for_fixed_seeds() {
     }
 }
 
-/// The worker-pool contract, checked against the golden pin itself:
-/// whether fan-outs run on the persistent global pool, a caller-owned
-/// pool of any size, or PR-2-era scoped spawns — at any thread count —
-/// the exported bytes are the same artifact the goldens pin. Interning
-/// is likewise invisible here: `Sym` ids never reach the exporter.
-#[test]
-fn par_strategy_never_changes_exported_bytes() {
-    use dbpal::util::{ParStrategy, WorkerPool};
-    use std::sync::Arc;
-
-    let strategies = [
-        ParStrategy::GlobalPool,
-        ParStrategy::Pool(Arc::new(WorkerPool::new(2))),
-        ParStrategy::Pool(Arc::new(WorkerPool::new(8))),
-        ParStrategy::Scoped,
-    ];
-    let golden = {
-        let corpus = TrainingPipeline::new(GenerationConfig {
-            seed: 0x00DE_7EC7,
-            ..GenerationConfig::small()
-        })
-        .generate(&schema());
-        corpus_to_json(&corpus).expect("export")
-    };
-    assert_eq!(golden.len(), 2_333_908, "baseline drifted; re-pin goldens");
-    for strategy in strategies {
-        for threads in [1usize, 2, 8] {
-            let config = GenerationConfig {
-                seed: 0x00DE_7EC7,
-                threads,
-                par: strategy.clone(),
-                ..GenerationConfig::small()
-            };
-            let corpus = TrainingPipeline::new(config).generate(&schema());
-            let json = corpus_to_json(&corpus).expect("export");
-            assert_eq!(
-                fnv1a(json.as_bytes()),
-                fnv1a(golden.as_bytes()),
-                "strategy {strategy:?} at {threads} threads diverged from the golden corpus"
-            );
-        }
-    }
-}
-
 /// The streaming producer is the same function: a one-round stream
 /// into a memory sink must land byte-for-byte on both golden pins.
 /// Since `generate` is itself a thin wrapper over this path, the test
