@@ -82,7 +82,6 @@ fn main() {
             epochs: 3,
             seed: 1,
             max_pairs: Some(2000),
-            verbose: false,
         },
     );
     let lem = Lemmatizer::new();

@@ -26,7 +26,7 @@ use dbpal_runtime::Nlidb;
 use dbpal_serve::net::{serve, Client, QueryOutcome, ServerConfig, ServerHandle};
 use dbpal_serve::testing::{hospital_db, hospital_script, ScriptedModel};
 use dbpal_serve::{QueryService, ServeConfig};
-use dbpal_util::{Json, Rng};
+use dbpal_util::{Fnv1a, Json, Rng};
 
 /// Default seed for the request mix.
 pub const DEFAULT_SEED: u64 = 0x10AD;
@@ -201,19 +201,6 @@ fn request_mix() -> Vec<MixItem> {
     mix
 }
 
-// ----- digest -----------------------------------------------------------
-
-fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
 // ----- the harness ------------------------------------------------------
 
 /// Per-client tallies brought back to the coordinator.
@@ -222,7 +209,7 @@ struct ClientOutcome {
     protocol_errors: u64,
     answer_mismatches: u64,
     sheds: u64,
-    digest: u64,
+    digest: Fnv1a,
 }
 
 fn run_client(
@@ -239,7 +226,7 @@ fn run_client(
         protocol_errors: 0,
         answer_mismatches: 0,
         sheds: 0,
-        digest: FNV_OFFSET,
+        digest: Fnv1a::new(),
     };
     let mut client = match Client::connect(addr) {
         Ok(c) => c,
@@ -260,7 +247,7 @@ fn run_client(
             Ok(outcomes) => {
                 let elapsed = t0.elapsed().as_nanos() as u64;
                 for (&pick, outcome) in picks.iter().zip(&outcomes) {
-                    out.digest = fnv1a64(out.digest, outcome.digest_form().as_bytes());
+                    out.digest.update(outcome.digest_form().as_bytes());
                     match outcome {
                         QueryOutcome::Answer { rows, .. } => {
                             if *rows != mix[pick].expected_rows {
@@ -331,9 +318,9 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> LoadReport {
 
     // Chain per-client digests in client-id order: scheduling cannot
     // reorder them.
-    let mut digest = FNV_OFFSET;
+    let mut digest = Fnv1a::new();
     for o in &outcomes {
-        digest = fnv1a64(digest, &o.digest.to_be_bytes());
+        digest.update(&o.digest.finish().to_be_bytes());
     }
     let mut latencies: Vec<u64> = outcomes
         .iter()
@@ -356,7 +343,7 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> LoadReport {
         protocol_errors: outcomes.iter().map(|o| o.protocol_errors).sum(),
         answer_mismatches: outcomes.iter().map(|o| o.answer_mismatches).sum(),
         sheds: outcomes.iter().map(|o| o.sheds).sum(),
-        digest: format!("{digest:016x}"),
+        digest: format!("{:016x}", digest.finish()),
     }
 }
 
@@ -392,14 +379,6 @@ mod tests {
         assert_eq!(percentile(&v, 0.50), 50);
         assert_eq!(percentile(&v, 0.95), 95);
         assert_eq!(percentile(&v, 0.99), 99);
-    }
-
-    #[test]
-    fn fnv_digest_is_order_sensitive() {
-        let a = fnv1a64(FNV_OFFSET, b"ab");
-        let b = fnv1a64(FNV_OFFSET, b"ba");
-        assert_ne!(a, b);
-        assert_eq!(a, fnv1a64(FNV_OFFSET, b"ab"));
     }
 
     #[test]

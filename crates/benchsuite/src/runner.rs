@@ -81,7 +81,6 @@ impl SpiderExperiment {
                 epochs: 6,
                 seed: 11,
                 max_pairs: None,
-                verbose: false,
             },
         }
     }
@@ -100,7 +99,6 @@ impl SpiderExperiment {
                 epochs: 3,
                 seed: 11,
                 max_pairs: Some(4000),
-                verbose: false,
             },
         }
     }
@@ -323,7 +321,6 @@ impl GeoTuningExperiment {
                 epochs: 4,
                 seed: 17,
                 max_pairs: Some(6000),
-                verbose: false,
             },
         }
     }

@@ -20,8 +20,6 @@ pub struct TrainOptions {
     /// Optional cap on the number of training pairs (random prefix after
     /// shuffling); used to scale the Figure 4 sweep down to laptop time.
     pub max_pairs: Option<usize>,
-    /// Print progress to stderr.
-    pub verbose: bool,
 }
 
 impl Default for TrainOptions {
@@ -30,7 +28,6 @@ impl Default for TrainOptions {
             epochs: 8,
             seed: 13,
             max_pairs: None,
-            verbose: false,
         }
     }
 }

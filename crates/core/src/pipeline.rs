@@ -210,9 +210,6 @@ pub struct PipelineReport {
     pub final_pairs: usize,
     /// Final pair count per provenance.
     pub provenance: BTreeMap<Provenance, usize>,
-    /// Final pair count per template id (as tagged on the pairs, so
-    /// grouped instantiations keep their `+group` suffix).
-    pub template_counts: BTreeMap<String, usize>,
     /// Instantiation counters (retries, exhausted templates, shortfall).
     pub generator: GeneratorStats,
     /// Static-analysis counters (per-code findings, rejected pairs).
@@ -279,13 +276,6 @@ impl PipelineReport {
             return Err(format!(
                 "provenance counts sum to {}, corpus has {}",
                 self.provenance.values().sum::<usize>(),
-                self.final_pairs
-            ));
-        }
-        if self.template_counts.values().sum::<usize>() != self.final_pairs {
-            return Err(format!(
-                "template counts sum to {}, corpus has {}",
-                self.template_counts.values().sum::<usize>(),
                 self.final_pairs
             ));
         }
@@ -544,10 +534,8 @@ impl TrainingPipeline {
         let dedup_time = stage.elapsed();
 
         let mut provenance = BTreeMap::new();
-        let mut template_counts = BTreeMap::new();
         for pair in &admitted.pairs {
             *provenance.entry(pair.provenance).or_insert(0) += 1;
-            *template_counts.entry(pair.template_id.clone()).or_insert(0) += 1;
         }
         let report = PipelineReport {
             threads,
@@ -556,7 +544,6 @@ impl TrainingPipeline {
             dedup_dropped: admitted.exact_dropped + admitted.conflicts_resolved,
             final_pairs: admitted.pairs.len(),
             provenance,
-            template_counts,
             generator: generator_stats,
             analyzer: analyzer_report,
             timings: StageTimings {

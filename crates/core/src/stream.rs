@@ -47,8 +47,8 @@
 //! # Ceiling methodology
 //!
 //! [`StreamReport`] carries two memory observations per run: the
-//! kernel-reported peak resident set sampled after every round
-//! ([`dbpal_util::resident_bytes`]), and a conservative sink-side
+//! largest kernel-reported resident set among samples taken after each
+//! round ([`dbpal_util::resident_bytes`]), and a conservative sink-side
 //! estimate (`max` over rounds of bytes accepted in that round plus the
 //! dedup-index footprint) for platforms without procfs. The corpus gate
 //! asserts the probe against its configured ceiling.

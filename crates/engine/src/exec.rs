@@ -1,8 +1,6 @@
 //! The query executor: join, filter, group, sort, project.
 
-use crate::eval::{
-    compile_pred, compute_aggregate, eval_pred, AggMode, ColumnResolver, EAggArg, EPred, EScalar,
-};
+use crate::eval::{compile_pred, compute_aggregate, eval_pred, AggMode, ColumnResolver, EAggArg};
 use crate::{Database, EngineError, ResultSet};
 use dbpal_schema::{TableId, Value};
 use dbpal_sql::{
@@ -529,11 +527,6 @@ fn compare_by_keys(a: &[Value], b: &[Value], keys: &[(usize, OrderDir)]) -> std:
     }
     std::cmp::Ordering::Equal
 }
-
-// Reuse EScalar in the public-in-crate surface so the compiler sees it
-// used even though grouped paths build EAggArg directly.
-#[allow(dead_code)]
-fn _type_anchor(_: EScalar, _: EPred) {}
 
 #[cfg(test)]
 mod tests {

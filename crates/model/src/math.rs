@@ -77,7 +77,7 @@ impl Param {
 
     /// Clip the gradient to a max L2 norm (stabilizes RNN training).
     /// `sum_sq` is the sum of its squared entries, from
-    /// [`sums_of_squares`], which computes several at once.
+    /// `sums_of_squares`, which computes several at once.
     pub fn clip_grad(&mut self, sum_sq: f32, max_norm: f32) {
         let norm = sum_sq.sqrt();
         if norm > max_norm {

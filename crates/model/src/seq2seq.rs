@@ -477,7 +477,7 @@ impl TranslationModel for Seq2SeqModel {
 
         let mut ws = TrainScratch::new(&self.cfg);
         let mut order: Vec<usize> = (0..encoded.len()).collect();
-        for epoch in 0..opts.epochs {
+        for _ in 0..opts.epochs {
             order.shuffle(&mut rng);
             let mut total = 0.0f32;
             for &i in &order {
@@ -486,9 +486,6 @@ impl TranslationModel for Seq2SeqModel {
             }
             let mean = total / encoded.len().max(1) as f32;
             self.epoch_losses.push(mean);
-            if opts.verbose {
-                eprintln!("[seq2seq] epoch {epoch}: loss {mean:.4}");
-            }
         }
         // The weights are final: project every embedding row once.
         self.enc_in = Self::input_table(&self.encoder, &self.src_embed);
@@ -572,7 +569,6 @@ mod tests {
             epochs: 10,
             seed: 1,
             max_pairs: None,
-            verbose: false,
         };
         m.train(&tiny_corpus(), &opts);
         let first = m.epoch_losses.first().copied().unwrap();
@@ -591,7 +587,6 @@ mod tests {
             epochs: 60,
             seed: 2,
             max_pairs: None,
-            verbose: false,
         };
         let corpus = tiny_corpus();
         m.train(&corpus, &opts);
@@ -642,7 +637,6 @@ mod tests {
             epochs: 10,
             seed: 1,
             max_pairs: None,
-            verbose: false,
         }
     }
 

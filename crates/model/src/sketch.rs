@@ -28,7 +28,7 @@ use crate::linker::SchemaLinker;
 use dbpal_core::{TrainOptions, TrainingCorpus, TranslationModel};
 use dbpal_schema::{Schema, SqlType};
 use dbpal_sql::{parse_query, AggArg, AggFunc, Pred, Query, Scalar, Token};
-use dbpal_util::{Rng, SliceRandom};
+use dbpal_util::{fnv1a, Rng, SliceRandom};
 use std::collections::{HashMap, HashSet};
 
 /// One token of an anonymized skeleton.
@@ -346,13 +346,7 @@ fn collect_type_hints(q: &Query) -> (HashSet<String>, HashSet<String>) {
 const FEATURE_DIM: usize = 4096;
 
 fn hash_token(t: &str) -> usize {
-    // FNV-1a.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in t.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    (h as usize) % FEATURE_DIM
+    (fnv1a(t.as_bytes()) as usize) % FEATURE_DIM
 }
 
 /// Hashed unigram + bigram features of lemmatized NL tokens, plus a
@@ -715,13 +709,9 @@ impl TranslationModel for SketchModel {
         for epoch in 0..opts.epochs.max(1) {
             let lr = lr0 / (1.0 + epoch as f32 * 0.5);
             examples.shuffle(&mut rng);
-            let mut correct = 0usize;
             for (feats, label) in &examples {
                 let mut scores = self.scores(feats);
-                let pred = crate::math::softmax_inplace(&mut scores);
-                if pred == *label {
-                    correct += 1;
-                }
+                crate::math::softmax_inplace(&mut scores);
                 for (c, p) in scores.iter().enumerate() {
                     let g = p - if c == *label { 1.0 } else { 0.0 };
                     if g.abs() < 1e-6 {
@@ -732,13 +722,6 @@ impl TranslationModel for SketchModel {
                         self.weights[c * FEATURE_DIM + f] -= lr * g;
                     }
                 }
-            }
-            if opts.verbose {
-                eprintln!(
-                    "[sketch] epoch {epoch}: train acc {:.3} over {} classes",
-                    correct as f32 / examples.len().max(1) as f32,
-                    k
-                );
             }
         }
     }
@@ -911,7 +894,6 @@ mod tests {
                 epochs: 6,
                 seed: 3,
                 max_pairs: None,
-                verbose: false,
             },
         );
         assert!(model.class_count() > 10);
@@ -945,7 +927,6 @@ mod tests {
                 epochs: 6,
                 seed: 3,
                 max_pairs: None,
-                verbose: false,
             },
         );
         let lem = Lemmatizer::new();

@@ -33,7 +33,7 @@
 //!
 //! A batch runs its five phases — preprocess, cache lookup, translate,
 //! cache insert, post-process/execute — in order on its caller's thread
-//! (see [`service`] for the phase diagram), consulting the cache in
+//! (see `service.rs` for the phase diagram), consulting the cache in
 //! batch order. Every counter, and so the registry's deterministic JSON
 //! export, is a function of the request sequence; the `serve` and
 //! `tenants` integration tests pin that export by digest.

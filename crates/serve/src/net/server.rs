@@ -23,19 +23,27 @@
 //!
 //! # Graceful drain
 //!
+//! One lock holds the drain flag and the count of live connections;
+//! the accept loop admits each connection under it, and a connection
+//! gives its slot back when its thread ends, by return or by panic.
 //! A drain (the `shutdown` op, or [`ServerHandle::trigger_drain`])
-//! flips one atomic:
+//! sets the flag:
 //!
 //! 1. new connections are *refused with a typed `draining` error*, not
 //!    dropped;
 //! 2. a request already being served runs to completion on its
 //!    connection thread with correct answers — [`ServerHandle::join`]
-//!    waits for every connection thread;
+//!    waits until every connection has given its slot back;
 //! 3. idle keep-alive connections close at their next read tick; a
 //!    `query` arriving on a live connection after the drain gets the
 //!    typed `draining` error;
-//! 4. [`ServerHandle::join`] then returns a [`ServerReport`] with the
-//!    flushed metrics JSON (full and deterministic views).
+//! 4. [`ServerHandle::join`] then stops the accept loop, whose thread
+//!    scope joins the connection threads, and returns a
+//!    [`ServerReport`] with the flushed metrics JSON (full and
+//!    deterministic views).
+//!
+//! A request whose model panics ends its connection: the client sees
+//! the connection close, and the slot is free again before it does.
 //!
 //! # Logging
 //!
@@ -48,8 +56,8 @@
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -129,17 +137,24 @@ struct ServerMetrics {
     request_latency: Arc<Histogram>,
 }
 
+/// What admission, release and drain share, under one lock.
+#[derive(Default)]
+struct Conns {
+    /// A drain was triggered: admit no one.
+    drained: bool,
+    /// Connections admitted whose threads have not yet ended.
+    active: usize,
+}
+
 struct Inner<M: TranslationModel + Send + Sync> {
     service: QueryService<M>,
     config: ServerConfig,
     addr: SocketAddr,
-    draining: AtomicBool,
     accept_stop: AtomicBool,
     log_seq: AtomicU64,
-    active_conns: AtomicUsize,
-    conn_handles: Mutex<Vec<JoinHandle<()>>>,
-    drained: Mutex<bool>,
-    drained_cv: Condvar,
+    conns: Mutex<Conns>,
+    /// Notified when a drain starts and when a slot is given back.
+    conns_changed: Condvar,
     m: ServerMetrics,
 }
 
@@ -151,19 +166,47 @@ impl<M: TranslationModel + Send + Sync> Inner<M> {
         }
     }
 
+    fn conns(&self) -> MutexGuard<'_, Conns> {
+        // Every update writes one field, so a poisoned lock still holds
+        // consistent state.
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
+        self.conns().drained
     }
 
     fn trigger_drain(&self) {
-        if self.draining.swap(true, Ordering::AcqRel) {
+        let was_drained = std::mem::replace(&mut self.conns().drained, true);
+        if was_drained {
             return;
         }
         self.log(LogEvent::new("drain").flag("accepting", false));
-        // The drain flag mutex guards a single bool; poisoning cannot
-        // leave it inconsistent, so a panicked holder is survivable.
-        *self.drained.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        self.drained_cv.notify_all();
+        self.conns_changed.notify_all();
+    }
+
+    /// Take a connection slot, or name the typed refusal.
+    fn admit(&self) -> Result<(), (ErrorKind, &'static str)> {
+        let mut conns = self.conns();
+        if conns.drained {
+            Err((ErrorKind::Draining, "server is draining"))
+        } else if conns.active >= self.config.max_connections {
+            Err((ErrorKind::Busy, "connection limit reached"))
+        } else {
+            conns.active += 1;
+            Ok(())
+        }
+    }
+}
+
+/// An admitted connection's slot, given back when its thread ends,
+/// whether the thread returns or panics.
+struct Slot<'a, M: TranslationModel + Send + Sync>(&'a Inner<M>);
+
+impl<M: TranslationModel + Send + Sync> Drop for Slot<'_, M> {
+    fn drop(&mut self) {
+        self.0.conns().active -= 1;
+        self.0.conns_changed.notify_all();
     }
 }
 
@@ -193,13 +236,10 @@ pub fn serve<M: TranslationModel + Send + Sync + 'static>(
         service,
         config,
         addr,
-        draining: AtomicBool::new(false),
         accept_stop: AtomicBool::new(false),
         log_seq: AtomicU64::new(0),
-        active_conns: AtomicUsize::new(0),
-        conn_handles: Mutex::new(Vec::new()),
-        drained: Mutex::new(false),
-        drained_cv: Condvar::new(),
+        conns: Mutex::default(),
+        conns_changed: Condvar::new(),
         m,
     });
     inner.log(
@@ -237,45 +277,24 @@ impl<M: TranslationModel + Send + Sync + 'static> ServerHandle<M> {
     /// down, then flush metrics into the returned [`ServerReport`].
     pub fn join(mut self) -> ServerReport {
         let inner = &self.inner;
-        // 1. Wait for the drain trigger (ours or the wire's).
-        {
-            let mut d = inner.drained.lock().unwrap_or_else(PoisonError::into_inner);
-            while !*d {
-                d = inner
-                    .drained_cv
-                    .wait(d)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-        // 2. Let every connection thread finish. Handles are registered
-        // just after spawn, so briefly-untracked threads show up in
-        // `active_conns` and another pass picks them up.
-        loop {
-            let handles: Vec<JoinHandle<()>> = {
-                let mut hs = inner
-                    .conn_handles
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                hs.drain(..).collect()
-            };
-            if handles.is_empty() {
-                if inner.active_conns.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-            for h in handles {
-                let _ = h.join();
-            }
-        }
-        // 3. Unblock and join the accept loop.
+        // 1. Wait for the drain trigger (ours or the wire's) and for
+        // every slot to come back. Once drained, the accept loop admits
+        // no one, so the count only falls.
+        drop(
+            inner
+                .conns_changed
+                .wait_while(inner.conns(), |c| !c.drained || c.active > 0)
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        // 2. Unblock and join the accept loop; its scope joins the
+        // connection threads. A connection's panic resurfaces there and
+        // is ignored like the rest of that thread's result.
         inner.accept_stop.store(true, Ordering::Release);
         let _ = TcpStream::connect(inner.addr);
         if let Some(a) = self.accept.take() {
             let _ = a.join();
         }
-        // 4. Flush.
+        // 3. Flush.
         let report = ServerReport {
             addr: inner.addr,
             connections: inner.m.connections.get(),
@@ -311,47 +330,33 @@ fn refuse(stream: &mut TcpStream, kind: ErrorKind, message: &str) {
     let _ = frame::write_frame(stream, &resp.to_bytes());
 }
 
-fn run_accept<M: TranslationModel + Send + Sync + 'static>(
-    inner: &Arc<Inner<M>>,
-    listener: TcpListener,
-) {
-    let mut next_conn_id = 0u64;
-    for stream in listener.incoming() {
-        if inner.accept_stop.load(Ordering::Acquire) {
-            break;
+/// Accept until [`ServerHandle::join`] stops the loop. Each connection
+/// runs on a thread of this scope whose handle is dropped, so an ended
+/// thread frees its stack at once; the scope joins the rest on exit.
+fn run_accept<M: TranslationModel + Send + Sync>(inner: &Inner<M>, listener: TcpListener) {
+    std::thread::scope(|scope| {
+        let mut next_conn_id = 0u64;
+        for stream in listener.incoming() {
+            if inner.accept_stop.load(Ordering::Acquire) {
+                break;
+            }
+            let mut stream = match stream {
+                Ok(s) => s,
+                Err(_) => continue,
+            };
+            if let Err((kind, message)) = inner.admit() {
+                inner.m.refused.inc();
+                inner.log(LogEvent::new("refused").field("reason", kind.as_str()));
+                refuse(&mut stream, kind, message);
+                continue;
+            }
+            inner.m.connections.inc();
+            next_conn_id += 1;
+            let conn_id = next_conn_id;
+            inner.log(LogEvent::new("accepted").num("conn", conn_id as f64));
+            scope.spawn(move || run_conn(inner, stream, conn_id));
         }
-        let mut stream = match stream {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        if inner.draining() {
-            inner.m.refused.inc();
-            inner.log(LogEvent::new("refused").field("reason", "draining"));
-            refuse(&mut stream, ErrorKind::Draining, "server is draining");
-            continue;
-        }
-        if inner.active_conns.load(Ordering::Acquire) >= inner.config.max_connections {
-            inner.m.refused.inc();
-            inner.log(LogEvent::new("refused").field("reason", "busy"));
-            refuse(&mut stream, ErrorKind::Busy, "connection limit reached");
-            continue;
-        }
-        inner.active_conns.fetch_add(1, Ordering::AcqRel);
-        inner.m.connections.inc();
-        next_conn_id += 1;
-        let conn_id = next_conn_id;
-        inner.log(LogEvent::new("accepted").num("conn", conn_id as f64));
-        let conn_inner = Arc::clone(inner);
-        let handle = std::thread::spawn(move || {
-            run_conn(&conn_inner, stream, conn_id);
-            conn_inner.active_conns.fetch_sub(1, Ordering::AcqRel);
-        });
-        inner
-            .conn_handles
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(handle);
-    }
+    });
 }
 
 // ----- connection threads -----------------------------------------------
@@ -447,15 +452,18 @@ fn drain_payload(stream: &mut TcpStream, declared: usize) {
     }
 }
 
-fn run_conn<M: TranslationModel + Send + Sync + 'static>(
-    inner: &Arc<Inner<M>>,
+fn run_conn<M: TranslationModel + Send + Sync>(
+    inner: &Inner<M>,
     mut stream: TcpStream,
     conn_id: u64,
 ) {
+    // Locals drop before parameters, so the slot is free before the
+    // peer sees `stream` close, also when a request panics.
+    let _slot = Slot(inner);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(IDLE_TICK));
     loop {
-        match read_request(inner.as_ref(), &mut stream) {
+        match read_request(inner, &mut stream) {
             ReadOutcome::Frame(payload) => {
                 if !handle_frame(inner, &mut stream, conn_id, &payload) {
                     break;
@@ -505,8 +513,8 @@ fn run_conn<M: TranslationModel + Send + Sync + 'static>(
 }
 
 /// Serve one parsed frame; returns whether to keep the connection.
-fn handle_frame<M: TranslationModel + Send + Sync + 'static>(
-    inner: &Arc<Inner<M>>,
+fn handle_frame<M: TranslationModel + Send + Sync>(
+    inner: &Inner<M>,
     stream: &mut TcpStream,
     conn_id: u64,
     payload: &[u8],

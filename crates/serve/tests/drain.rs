@@ -1,16 +1,21 @@
 //! Graceful-drain integration: with a batch genuinely in flight, a wire
 //! `shutdown` must let that batch finish with correct answers, refuse
 //! new connections with the typed `draining` status, and produce a
-//! well-formed final metrics export.
+//! well-formed final metrics export. A request that panics must give
+//! its connection slot back, so neither admission nor the drain waits
+//! on it.
 
+use std::sync::mpsc;
 use std::time::Duration;
 
+use dbpal_core::{TrainOptions, TrainingCorpus, TranslationModel};
 use dbpal_runtime::Nlidb;
 use dbpal_serve::net::{
     serve, Client, ClientError, ErrorKind, QueryOutcome, Response, ServerConfig,
 };
 use dbpal_serve::testing::{hospital_db, hospital_script};
 use dbpal_serve::{QueryService, ServeConfig};
+use dbpal_sql::Query;
 use dbpal_util::Json;
 
 /// One question per script family, with its expected `(columns, rows)`.
@@ -148,4 +153,52 @@ fn queries_after_drain_get_the_draining_status() {
     }
     drop(client);
     handle.join();
+}
+
+/// A model whose every translation panics.
+struct PanickingModel;
+
+impl TranslationModel for PanickingModel {
+    fn name(&self) -> &'static str {
+        "panicking"
+    }
+
+    fn train(&mut self, _corpus: &TrainingCorpus, _opts: &TrainOptions) {}
+
+    fn translate(&self, _nl_lemmas: &[String]) -> Option<Query> {
+        panic!("translate panicked on purpose");
+    }
+}
+
+#[test]
+fn a_panicked_request_gives_its_connection_slot_back() {
+    let service = QueryService::new(
+        Nlidb::new(hospital_db(), PanickingModel),
+        ServeConfig::default(),
+    );
+    let handle = serve(
+        service,
+        ServerConfig {
+            max_connections: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+
+    // Two panicked requests would hold both slots if a panic kept its
+    // slot; the third connection must still be admitted.
+    for i in 0..3 {
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        match client.query(&["Show the name of all patients".to_string()]) {
+            Err(ClientError::Closed) => {}
+            other => panic!("connection {i}: expected a closed connection, got {other:?}"),
+        }
+    }
+
+    let (done, report) = mpsc::channel();
+    std::thread::spawn(move || done.send(handle.shutdown()));
+    let report = report
+        .recv_timeout(Duration::from_secs(5))
+        .expect("shutdown returns within 5 s");
+    assert_eq!(report.connections, 3);
 }

@@ -13,7 +13,7 @@
 //! | [`rng`] | `rand` | splitmix64-seeded xoshiro256** ([`Rng`], [`SliceRandom`], [`stream_seed`]) |
 //! | [`json`] | `serde`/`serde_json` | [`Json`] value model, parser, serializer |
 //! | [`check`] | `proptest` | seeded [`forall!`] property runner |
-//! | [`bench`] | `criterion` | warmup + median-of-N wall-clock harness |
+//! | [`bench`](mod@bench) | `criterion` | warmup + median-of-N wall-clock harness |
 //! | [`pool`] | `rayon` | persistent [`WorkerPool`], the one order-preserving fan-out |
 //! | [`intern`] | `string-interner` | [`Vocab`] string table with `u32` [`Sym`] ids |
 //! | [`metrics`] | `prometheus`/`metrics` | counters, latency histograms, span timers, [`MetricsRegistry`] |

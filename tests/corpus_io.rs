@@ -69,7 +69,6 @@ fn manual_data_complements_the_pipeline() {
             epochs: 6,
             seed: 3,
             max_pairs: None,
-            verbose: false,
         },
     );
     let lem = Lemmatizer::new();

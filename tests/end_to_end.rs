@@ -66,7 +66,6 @@ fn bootstrapped_nlidb() -> Nlidb<SketchModel> {
             epochs: 6,
             seed: 5,
             max_pairs: None,
-            verbose: false,
         },
     );
     nlidb
